@@ -205,11 +205,11 @@ func main() {
 	}
 }
 
-// runWithProgress runs the jobs serially on this goroutine through
-// resumable machines, printing a progress line to stderr about once a
-// second. The simulator is the same one the checked path drives, so
-// results are bit-identical; what -progress trades away is parallelism
-// and per-cell retry, which an interactive run does not want anyway.
+// runWithProgress runs the jobs serially on this goroutine, printing a
+// progress line to stderr about once a second. The simulator is the
+// same one the checked path drives, so results are bit-identical; what
+// -progress trades away is parallelism and per-cell retry, which an
+// interactive run does not want anyway.
 func runWithProgress(ctx context.Context, jobs []runner.Job) []runner.CellResult {
 	cells := make([]runner.CellResult, len(jobs))
 	for i, j := range jobs {
@@ -226,42 +226,35 @@ func runWithProgress(ctx context.Context, jobs []runner.Job) []runner.CellResult
 }
 
 func progressCell(ctx context.Context, j runner.Job) runner.CellResult {
-	m, err := sim.NewMachine(j.Workload, j.Variant, j.Config)
-	if err != nil {
-		return cellFailure(j, 0, err)
-	}
 	const chunk = 20_000 // ~ms-scale turns: responsive without print overhead
 	start := time.Now()
 	lastPrint := start
 	label := fmt.Sprintf("%s/%s", j.Workload.Name, j.Variant)
-	for {
-		done, err := m.Advance(ctx, m.Committed()+chunk)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "\rpsbsim: %s: aborted after %d insts            \n", label, m.Committed())
-			return cellFailure(j, 1, err)
+	res, err := sim.RunProgress(ctx, j.Workload, j.Variant, j.Config, chunk, func(committed uint64) {
+		now := time.Now()
+		if now.Sub(lastPrint) < time.Second {
+			return
 		}
-		if done {
-			break
+		lastPrint = now
+		rate := float64(committed) / now.Sub(start).Seconds()
+		eta := "?"
+		if rate > 0 {
+			rem := float64(j.Config.MaxInsts-committed) / rate
+			eta = (time.Duration(rem * float64(time.Second))).Round(time.Second).String()
 		}
-		if now := time.Now(); now.Sub(lastPrint) >= time.Second {
-			lastPrint = now
-			committed := m.Committed()
-			rate := float64(committed) / now.Sub(start).Seconds()
-			eta := "?"
-			if rate > 0 {
-				rem := float64(j.Config.MaxInsts-committed) / rate
-				eta = (time.Duration(rem * float64(time.Second))).Round(time.Second).String()
-			}
-			fmt.Fprintf(os.Stderr, "psbsim: %s %d/%d insts (%.1f%%)  %.2fM insts/s  ETA %s\n",
-				label, committed, j.Config.MaxInsts,
-				100*float64(committed)/float64(j.Config.MaxInsts), rate/1e6, eta)
-		}
+		fmt.Fprintf(os.Stderr, "psbsim: %s %d/%d insts (%.1f%%)  %.2fM insts/s  ETA %s\n",
+			label, committed, j.Config.MaxInsts,
+			100*float64(committed)/float64(j.Config.MaxInsts), rate/1e6, eta)
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "\rpsbsim: %s: aborted after %d insts            \n", label, res.CPU.Committed)
+		return cellFailure(j, 1, err)
 	}
 	if time.Since(start) >= time.Second {
 		fmt.Fprintf(os.Stderr, "psbsim: %s done: %d insts in %s\n",
-			label, m.Committed(), time.Since(start).Round(time.Millisecond))
+			label, res.CPU.Committed, time.Since(start).Round(time.Millisecond))
 	}
-	return runner.CellResult{Result: m.Result(), Attempts: 1}
+	return runner.CellResult{Result: res, Attempts: 1}
 }
 
 func cellFailure(j runner.Job, attempts int, err error) runner.CellResult {

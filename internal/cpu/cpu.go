@@ -318,8 +318,8 @@ type CPU struct {
 
 // runState is the resumable part of the run loop, kept on the CPU so
 // Advance can pause at an instruction target and continue later with
-// bit-identical behavior (the batched lockstep runner interleaves many
-// cores this way).
+// bit-identical behavior (sampled simulation and progress reporting
+// pause this way).
 type runState struct {
 	started       bool
 	eventDriven   bool
@@ -496,8 +496,8 @@ func (c *CPU) RunChecked(ctx context.Context, maxInsts uint64) (Stats, error) {
 // instructions have committed (stopAt == 0 never pauses). It reports
 // whether the run finished — paused runs resume with another Advance
 // call and are bit-identical to an unpaused RunChecked, which is what
-// lets the batched lockstep runner interleave many machines over one
-// shared trace. Watchdog and cancellation semantics match RunChecked.
+// lets sampled simulation stop at interval boundaries. Watchdog and
+// cancellation semantics match RunChecked.
 func (c *CPU) Advance(ctx context.Context, maxInsts, stopAt uint64) (bool, error) {
 	if !c.run.started {
 		c.run.started = true

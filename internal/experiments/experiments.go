@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -44,61 +43,23 @@ func (m *Matrix) Failed() int {
 }
 
 // CellRunner executes a batch of jobs and returns one cell per job in
-// job order. The legacy path wraps Pool.Run (panics propagate); a
-// Session wraps Pool.RunChecked (failures become per-cell errors); the
-// serving layer (internal/serve) supplies an executor backed by its
-// fingerprint-keyed result cache, so repeated artifact requests never
-// re-simulate a cell.
+// job order. A Session wraps Pool.RunChecked (failures become per-cell
+// errors); the serving layer (internal/serve) supplies an executor
+// backed by its fingerprint-keyed result cache, so repeated artifact
+// requests never re-simulate a cell.
 type CellRunner func(jobs []runner.Job) []runner.CellResult
-
-// plainRunner is the legacy fail-fast executor.
-func plainRunner(workers int) CellRunner {
-	return func(jobs []runner.Job) []runner.CellResult {
-		results := runner.ForWorkers(workers).Run(jobs)
-		cells := make([]runner.CellResult, len(jobs))
-		for i, r := range results {
-			cells[i] = runner.CellResult{Result: r, Attempts: 1}
-		}
-		return cells
-	}
-}
-
-// batchedRunner executes jobs through the lockstep batched path:
-// same-trace cells advance together in groups of batch (see
-// runner.RunBatched), groups fan out across workers. Failures become
-// per-cell errors rather than panics.
-func batchedRunner(workers, batch int) CellRunner {
-	return func(jobs []runner.Job) []runner.CellResult {
-		cells, _ := runner.ForWorkers(workers).RunBatched(
-			context.Background(), jobs, batch, runner.DefaultOptions())
-		return cells
-	}
-}
-
-// cellRunner picks the executor cfg asks for: lockstep batching when
-// cfg.Batch is positive, the legacy per-cell path otherwise.
-func cellRunner(cfg sim.Config) CellRunner {
-	if cfg.Batch > 0 {
-		return batchedRunner(cfg.Workers, cfg.Batch)
-	}
-	return plainRunner(cfg.Workers)
-}
 
 // Schemes lists the configurations of the Figure 5-9 bars, base first.
 func Schemes() []core.Variant {
 	return append([]core.Variant{core.None}, core.PaperVariants()...)
 }
 
-// RunMatrix simulates every benchmark under every scheme, fanning the
-// independent simulations across cfg.Workers goroutines (0 = serial);
-// with cfg.Batch > 0, same-trace cells advance in lockstep batches
-// instead (see runner.RunBatched). The assembled matrix is identical
-// for any worker count and batch size. On the per-cell path any cell
-// panic propagates (fail-fast), on the batched path failures land in
-// Errs; Session.Matrix is the general fault-isolating path.
-func RunMatrix(cfg sim.Config) *Matrix {
-	return runMatrixWith(cfg, cellRunner(cfg))
-}
+// RunMatrix simulates every benchmark under every scheme through a
+// default Session (see Session.Matrix), fanning the independent
+// simulations across cfg.Workers goroutines (0 = serial). The
+// assembled matrix is identical for any worker count; failed cells
+// land in Errs.
+func RunMatrix(cfg sim.Config) *Matrix { return defaultSession(cfg).Matrix() }
 
 func runMatrixWith(cfg sim.Config, run CellRunner) *Matrix {
 	benches := workload.All()
@@ -153,12 +114,18 @@ func Table2(m *Matrix) *stats.Table {
 			continue
 		}
 		r := m.Base(w.Name)
+		insts := r.CPU.Committed
+		if r.Sampled != nil {
+			// A sampled run covers the whole budget; its CPU stats
+			// count only the detailed windows.
+			insts = m.Cfg.MaxInsts
+		}
 		t.AddRow(w.Name,
-			stats.Millions(r.CPU.Committed),
+			stats.Millions(insts),
 			stats.Pct(r.CPU.DMissRate()),
 			stats.Pct(r.CPU.PctLoads()),
 			stats.Pct(r.CPU.PctStores()),
-			stats.F2(r.IPC()),
+			stats.F2(ipc(r)),
 			stats.Pct(r.L1L2Util),
 			stats.Pct(r.MemBusUtil))
 	}
@@ -172,9 +139,7 @@ var Fig4Widths = []int{4, 6, 8, 10, 12, 14, 16, 20, 24, 32}
 // Markov predictor captures as a function of the per-entry delta
 // width. Each benchmark runs once (base config) with the delta-bits
 // histogram attached.
-func Fig4(cfg sim.Config) *stats.Table {
-	return fig4With(cfg, plainRunner(cfg.Workers))
-}
+func Fig4(cfg sim.Config) *stats.Table { return defaultSession(cfg).Fig4() }
 
 func fig4With(cfg sim.Config, run CellRunner) *stats.Table {
 	cfg.CollectFig4 = true
@@ -209,7 +174,7 @@ func fig4With(cfg sim.Config, run CellRunner) *stats.Table {
 // base for PC-stride and the four PSB configurations.
 func Fig5(m *Matrix) *stats.Table {
 	t := schemeTable(m, "Figure 5: % speedup over base",
-		func(r, base sim.Result) string { return stats.SignedPct(r.SpeedupOver(base)) })
+		func(r, base sim.Result) string { return stats.SignedPct(speedup(r, base)) })
 	t.AddNote("paper: PSB ~30%% avg over base on pointer apps, ~10%% over PC-stride; sis degrades without confidence")
 	return t
 }
@@ -271,9 +236,7 @@ var Fig10Configs = []struct {
 // Fig10 regenerates Figure 10: speedup of PC-stride and
 // ConfAlloc-Priority over a base machine with the same L1
 // configuration, across three cache geometries.
-func Fig10(cfg sim.Config) *stats.Table {
-	return fig10With(cfg, plainRunner(cfg.Workers))
-}
+func Fig10(cfg sim.Config) *stats.Table { return defaultSession(cfg).Fig10() }
 
 func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 	headers := []string{"program"}
@@ -305,12 +268,12 @@ func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 			if base.Err != nil || pcs.Err != nil {
 				row = append(row, "ERR")
 			} else {
-				row = append(row, stats.SignedPct(pcs.Result.SpeedupOver(base.Result)))
+				row = append(row, stats.SignedPct(speedup(pcs.Result, base.Result)))
 			}
 			if base.Err != nil || psb.Err != nil {
 				row = append(row, "ERR")
 			} else {
-				row = append(row, stats.SignedPct(psb.Result.SpeedupOver(base.Result)))
+				row = append(row, stats.SignedPct(speedup(psb.Result, base.Result)))
 			}
 		}
 		t.AddRow(row...)
@@ -321,9 +284,7 @@ func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 
 // Fig11 regenerates Figure 11: IPC with and without perfect memory
 // disambiguation for the base machine and ConfAlloc-Priority PSB.
-func Fig11(cfg sim.Config) *stats.Table {
-	return fig11With(cfg, plainRunner(cfg.Workers))
-}
+func Fig11(cfg sim.Config) *stats.Table { return defaultSession(cfg).Fig11() }
 
 func fig11With(cfg sim.Config, run CellRunner) *stats.Table {
 	t := stats.NewTable("Figure 11: IPC with (Dis) and without (NoDis) perfect store sets",
@@ -349,11 +310,29 @@ func fig11With(cfg sim.Config, run CellRunner) *stats.Table {
 				row = append(row, "ERR")
 				continue
 			}
-			row = append(row, stats.F2(c.Result.IPC()))
+			row = append(row, stats.F2(ipc(c.Result)))
 		}
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// ipc is the IPC a table prints for r: the sampling estimate for a
+// sampled run, whose CPU stats cover only the detailed windows, and
+// the exact figure otherwise.
+func ipc(r sim.Result) float64 {
+	if r.Sampled != nil {
+		return r.Sampled.IPC
+	}
+	return r.IPC()
+}
+
+// speedup is sim.Result.SpeedupOver on ipc.
+func speedup(r, base sim.Result) float64 {
+	if ipc(base) == 0 {
+		return 0
+	}
+	return (ipc(r)/ipc(base) - 1) * 100
 }
 
 // schemeTable renders one metric for the five prefetching schemes

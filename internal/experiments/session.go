@@ -12,11 +12,10 @@ import (
 
 // Session drives the experiment suite through the fault-isolating
 // runner path: per-cell panic recovery, wall-clock watchdogs with
-// retry, and optional checkpoint/resume. The table-building logic is
-// shared with the legacy fail-fast entry points; only the executor
-// differs. A Session accumulates failure and cache-hit accounting
-// across every table it builds, so a driver can render the whole
-// suite and then report what (if anything) went wrong, once.
+// retry, and optional checkpoint/resume. A Session accumulates failure
+// and cache-hit accounting across every table it builds, so a driver
+// can render the whole suite and then report what (if anything) went
+// wrong, once.
 type Session struct {
 	Ctx  context.Context
 	Cfg  sim.Config
@@ -31,6 +30,12 @@ type Session struct {
 // with the given checked-runner options.
 func NewSession(ctx context.Context, cfg sim.Config, opts runner.Options) *Session {
 	return &Session{Ctx: ctx, Cfg: cfg, Opts: opts}
+}
+
+// defaultSession is the session behind RunMatrix, Fig4, Fig10 and
+// Fig11: background context, default retry policy, no checkpoint.
+func defaultSession(cfg sim.Config) *Session {
+	return NewSession(context.Background(), cfg, runner.DefaultOptions())
 }
 
 // run executes one batch of jobs through the checked runner and folds

@@ -93,12 +93,11 @@ func DefaultOptions() Options { return Options{Retries: 1} }
 
 // Fingerprint returns the job's deterministic identity: a hash of the
 // workload name, variant and configuration. Two jobs that must produce
-// equal results have equal fingerprints; Config.Workers, Config.Batch,
-// the trace fields and CycleMode are excluded because neither
-// concurrency, lockstep batching, the stream's provenance (live vs
-// replayed), nor how the clock advances (event-driven skipping is
-// bit-identical to accurate ticking) affects results. Checkpoint
-// entries are keyed by this.
+// equal results have equal fingerprints; Config.Workers, the trace
+// fields and CycleMode are excluded because neither concurrency, the
+// stream's provenance (live vs replayed), nor how the clock advances
+// (event-driven skipping is bit-identical to accurate ticking) affects
+// results. Checkpoint entries are keyed by this.
 func (j Job) Fingerprint() string {
 	key := struct {
 		Workload string
@@ -106,7 +105,6 @@ func (j Job) Fingerprint() string {
 		Config   sim.Config
 	}{j.Workload.Name, int(j.Variant), j.Config}
 	key.Config.Workers = 0
-	key.Config.Batch = 0
 	key.Config.TraceMode = sim.TraceOff
 	key.Config.TraceDir = ""
 	key.Config.CPU.CycleMode = cpu.CycleModeDefault

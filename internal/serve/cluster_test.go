@@ -186,6 +186,58 @@ func TestClusterPeerFill(t *testing.T) {
 	}
 }
 
+// TestClusterSimIsPeerBatchOfOne pins the single-cell route on a
+// 2-node ring: a /v1/sim for a remotely owned cell costs exactly one
+// /v1/peer/batch RPC and returns the bytes a local simulation renders,
+// and a second request is a replica hit that costs no RPC at all.
+func TestClusterSimIsPeerBatchOfOne(t *testing.T) {
+	base := tinyCfg()
+	srvs, tss, _ := newTestCluster(t, 2, base)
+	w := workload.All()[1]
+	v := core.PSBConfPriority
+	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, v.String())
+	owner, _ := ownerIndex(t, srvs, tss, JobRequest{Bench: w.Name, Scheme: v.String()})
+	caller := 1 - owner
+	rpcs := func() string {
+		for _, line := range strings.Split(scrape(t, tss[caller].URL), "\n") {
+			if strings.HasPrefix(line, "psb_peer_batch_rpcs_total ") {
+				return strings.TrimPrefix(line, "psb_peer_batch_rpcs_total ")
+			}
+		}
+		t.Fatal("scrape has no psb_peer_batch_rpcs_total")
+		return ""
+	}
+
+	resp, cold := postSim(t, tss[caller], body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, cold)
+	}
+	if tier := resp.Header.Get("X-Psb-Cache"); tier != "peer" {
+		t.Errorf("first request tier = %q, want peer", tier)
+	}
+	if n := rpcs(); n != "1" {
+		t.Errorf("psb_peer_batch_rpcs_total = %s after one remote cell, want 1", n)
+	}
+	direct, err := sim.RunChecked(context.Background(), w, v, base)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	if !bytes.Equal(cold, EncodeResult(direct)) {
+		t.Error("peer-filled bytes differ from a local simulation")
+	}
+
+	resp, hot := postSim(t, tss[caller], body)
+	if tier := resp.Header.Get("X-Psb-Cache"); tier != "mem" {
+		t.Errorf("second request tier = %q, want mem (replica hit)", tier)
+	}
+	if n := rpcs(); n != "1" {
+		t.Errorf("psb_peer_batch_rpcs_total = %s after a replica hit, want still 1", n)
+	}
+	if !bytes.Equal(hot, cold) {
+		t.Error("replica bytes differ from the fill")
+	}
+}
+
 // TestClusterConcurrentDedup hammers one cell across all three nodes
 // concurrently and checks the cluster still runs exactly one
 // simulation: local singleflight collapses same-node duplicates, and
@@ -277,75 +329,6 @@ func TestClusterOwnerDownDegrades(t *testing.T) {
 		if tier := resp.Header.Get("X-Psb-Cache"); tier != "mem" {
 			t.Errorf("node %d post-fallback tier = %q, want mem", i, tier)
 		}
-	}
-}
-
-// TestPeerSimLoopGuard checks the hop budget: a peer request claiming
-// more than one hop can only be a forwarding loop and is refused with
-// 508 before any work happens.
-func TestPeerSimLoopGuard(t *testing.T) {
-	base := tinyCfg()
-	srvs, tss, _ := newTestCluster(t, 2, base)
-	w := workload.All()[0]
-	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, core.Variants()[0].String())
-
-	req, _ := http.NewRequest(http.MethodPost, tss[0].URL+"/v1/peer/sim", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(PeerHopHeader, "2")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/peer/sim: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusLoopDetected {
-		t.Fatalf("status = %d, want 508", resp.StatusCode)
-	}
-	if st := srvs[0].Stats(); st.Peer.LoopRejects != 1 {
-		t.Errorf("loop_rejects = %d, want 1", st.Peer.LoopRejects)
-	}
-	if n := totalSims(srvs); n != 0 {
-		t.Errorf("a looped request still simulated (%d sims)", n)
-	}
-}
-
-// TestPeerSimFingerprintSkew checks the identity guard: when caller
-// and owner expand the same body to different fingerprints (skewed
-// base flags), the owner refuses with 409 rather than poisoning a
-// shared cache.
-func TestPeerSimFingerprintSkew(t *testing.T) {
-	base := tinyCfg()
-	srvs, tss, _ := newTestCluster(t, 2, base)
-	w := workload.All()[0]
-	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, core.Variants()[0].String())
-
-	req, _ := http.NewRequest(http.MethodPost, tss[0].URL+"/v1/peer/sim", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(PeerHopHeader, "1")
-	req.Header.Set(PeerFingerprintHeader, "0123456789abcdef")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/peer/sim: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status = %d, want 409", resp.StatusCode)
-	}
-	if st := srvs[0].Stats(); st.Peer.SkewRejects != 1 {
-		t.Errorf("skew_rejects = %d, want 1", st.Peer.SkewRejects)
-	}
-}
-
-// TestPeerSimWithoutCluster checks a standalone node refuses the peer
-// endpoint outright.
-func TestPeerSimWithoutCluster(t *testing.T) {
-	_, ts := newTestServer(t, Config{Base: tinyCfg(), Workers: 1})
-	resp, err := http.Post(ts.URL+"/v1/peer/sim", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404 on a non-cluster node", resp.StatusCode)
 	}
 }
 

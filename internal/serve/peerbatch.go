@@ -15,20 +15,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Scatter-gather peer batching: POST /v1/batch used to resolve every
-// remotely-owned cell with its own /v1/peer/sim round trip — an
-// N-cell batch over R remote owners cost up to N peer RPCs. This
-// layer groups a batch's misses by ring owner and carries each group
-// in a single POST /v1/peer/batch, so the same batch costs at most R
-// RPCs. Each cell still travels with its own fingerprint (the skew
-// guard holds per cell) and the hop budget applies to the whole
-// request (the endpoint never forwards, exactly like /v1/peer/sim).
+// Scatter-gather peer batching: a node resolves every cell it does
+// not own — a /v1/batch of many or a /v1/sim of one — by grouping the
+// misses by ring owner and carrying each group in a single POST
+// /v1/peer/batch, so N cells over R remote owners cost at most R RPCs.
+// Each cell travels with its own fingerprint (the skew guard holds per
+// cell) and the hop budget applies to the whole request: the endpoint
+// never forwards.
 //
 // On top of the grouping sits a cluster-level singleflight: a per-node
-// map of in-flight wire fills keyed by fingerprint. Concurrent batches
-// (or a batch and a single /v1/sim) asking this node for the same
-// remotely-owned cell share one fill instead of each paying a wire
-// round trip.
+// map of in-flight wire fills keyed by fingerprint. Concurrent requests
+// asking this node for the same remotely-owned cell share one fill
+// instead of each paying a wire round trip.
 
 // PeerBatchJob is one cell of a scatter-gather peer fill: the
 // normalized single-cell request plus the caller's fingerprint for it,
@@ -72,52 +70,6 @@ func DecodePeerBatchRequest(data []byte) (PeerBatchRequest, error) {
 	return r, nil
 }
 
-// peerCall is one in-flight wire fill of a fingerprint.
-type peerCall struct {
-	done chan struct{}
-	res  sim.Result
-	ok   bool
-}
-
-// peerFlight is the cluster-level singleflight: concurrent requests on
-// this node for the same remotely-owned fingerprint share one wire
-// fill. It mirrors flightGroup but carries a fill outcome instead of a
-// cell — a failed fill is not an answer, it sends every sharer to the
-// local fallback path.
-type peerFlight struct {
-	mu    sync.Mutex
-	calls map[string]*peerCall
-}
-
-// begin registers interest in the fingerprint's fill. The first caller
-// becomes the leader (and must call finish exactly once); everyone
-// else waits on the returned call's done channel.
-func (g *peerFlight) begin(fp string) (*peerCall, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[string]*peerCall)
-	}
-	if c, ok := g.calls[fp]; ok {
-		return c, false
-	}
-	c := &peerCall{done: make(chan struct{})}
-	g.calls[fp] = c
-	return c, true
-}
-
-// finish publishes the leader's outcome and releases the waiters. The
-// call is forgotten immediately: fills are never cached here (the
-// ResultCache holds successes), so a later request retries a failed
-// owner instead of inheriting a stale no.
-func (g *peerFlight) finish(fp string, c *peerCall, res sim.Result, ok bool) {
-	c.res, c.ok = res, ok
-	g.mu.Lock()
-	delete(g.calls, fp)
-	g.mu.Unlock()
-	close(c.done)
-}
-
 // peerBatchItem is one batch cell bound for a remote owner.
 type peerBatchItem struct {
 	idx int // index in the ingress batch
@@ -132,8 +84,8 @@ type peerBatchItem struct {
 // owner into single /v1/peer/batch calls. Any cell whose fill fails —
 // owner dead, per-cell refusal, corrupt payload — falls back to local
 // simulation, so the batch degrades cell by cell, never whole.
-func (s *Server) scatterGather(jobs []runner.Job, tenant string) []batchOutcome {
-	out := make([]batchOutcome, len(jobs))
+func (s *Server) scatterGather(jobs []runner.Job, tenant string) []cellOutcome {
+	out := make([]cellOutcome, len(jobs))
 	var wg sync.WaitGroup
 	local := func(i int) {
 		wg.Add(1)
@@ -147,7 +99,7 @@ func (s *Server) scatterGather(jobs []runner.Job, tenant string) []batchOutcome 
 		fp := jobs[i].Fingerprint()
 		if res, tier, ok := s.cache.peek(fp); ok {
 			s.countTier(tier)
-			out[i] = batchOutcome{cell: runner.CellResult{Result: res, Cached: true}, tier: tier}
+			out[i] = cellOutcome{cell: runner.CellResult{Result: res, Cached: true}, tier: tier}
 			continue
 		}
 		owner, self := s.cluster.Owner(fp)
@@ -173,7 +125,9 @@ func (s *Server) scatterGather(jobs []runner.Job, tenant string) []batchOutcome 
 	return out
 }
 
-// peerFill pairs one decoded, validated fill with its validity.
+// peerFill is the outcome of one wire fill: a decoded, validated
+// result, or !ok — which is not an answer, and sends every caller
+// sharing the fill to local simulation.
 type peerFill struct {
 	res sim.Result
 	ok  bool
@@ -183,17 +137,14 @@ type peerFill struct {
 // flight on this node are joined (coalesced), the rest travel in a
 // single batch RPC, and whatever comes back empty-handed simulates
 // locally.
-func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant string, out []batchOutcome) {
-	calls := make([]*peerCall, len(items))
+func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant string, out []cellOutcome) {
+	calls := make([]*flightCall[peerFill], len(items))
 	isLeader := make([]bool, len(items))
 	var leaders []peerBatchItem
 	for k := range items {
-		call, leader := s.peerFlight.begin(items[k].fp)
-		calls[k], isLeader[k] = call, leader
-		if leader {
+		calls[k], isLeader[k] = s.peerFlight.begin(items[k].fp)
+		if isLeader[k] {
 			leaders = append(leaders, items[k])
-		} else {
-			s.peerCoalesced.Add(1)
 		}
 	}
 	if len(leaders) > 0 {
@@ -211,7 +162,7 @@ func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant stri
 					if f.ok {
 						s.cache.Put(items[k].fp, f.res)
 					}
-					s.peerFlight.finish(items[k].fp, calls[k], f.res, f.ok)
+					s.peerFlight.finish(items[k].fp, calls[k], f)
 				}
 			}()
 			s.sendPeerBatch(owner, leaders, tenant, fills)
@@ -222,10 +173,9 @@ func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant stri
 	var wg sync.WaitGroup
 	for k := range items {
 		it := items[k]
-		<-calls[k].done
-		if calls[k].ok {
+		if f := calls[k].wait(); f.ok {
 			s.countTier("peer")
-			out[it.idx] = batchOutcome{cell: runner.CellResult{Result: calls[k].res, Cached: true}, tier: "peer"}
+			out[it.idx] = cellOutcome{cell: runner.CellResult{Result: f.res, Cached: true}, tier: "peer"}
 			continue
 		}
 		s.peerFallbacks.Add(1)
@@ -293,8 +243,9 @@ func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant str
 		pb := []byte(pc.Payload)
 		var res sim.Result
 		if json.Unmarshal(pb, &res) != nil || !bytes.Equal(EncodeResult(res), pb) {
-			// Same trust boundary as single-cell fills: a non-canonical
-			// payload never enters the cache.
+			// The cache contract survives the wire only if the peer's
+			// bytes are the canonical rendering: a non-canonical payload
+			// never enters the cache.
 			s.peerSkewRejects.Add(1)
 			s.events.Log("peer_corrupt", map[string]any{"peer": owner, "fingerprint": it.fp, "cause": "non-canonical batch payload"})
 			continue
@@ -308,9 +259,12 @@ func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant str
 // handlePeerBatch serves POST /v1/peer/batch: the owner-side half of
 // scatter-gather. Cells run concurrently through the ordinary cell
 // path (cache → singleflight → simulate) and each answers with the
-// canonical payload bytes. Like /v1/peer/sim it never forwards and
-// skips tenant admission — the ingress node already charged the
-// caller — but queue-full refusals surface per cell as 429s.
+// canonical payload bytes. It never forwards — the hop guard makes
+// routing loops structurally impossible — and skips tenant admission,
+// since the ingress node already charged the caller; the tenant
+// identity still rides along so the owner's fair queue prices the
+// simulation against the right key. Queue-full refusals surface per
+// cell as 429s.
 func (s *Server) handlePeerBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePeerCluster(w) {
 		return

@@ -187,13 +187,12 @@ func TestClusterBatchOwnerKillFallback(t *testing.T) {
 // concurrent callers for one fingerprint elect exactly one leader, and
 // finish publishes the leader's outcome to every waiter.
 func TestPeerFlightCoalesce(t *testing.T) {
-	var g peerFlight
+	var g flight[peerFill]
 	const waiters = 16
 	leaderCall, leader := g.begin("fp-1")
 	if !leader {
 		t.Fatal("first caller must lead")
 	}
-	var followers atomic.Int64
 	results := make(chan bool, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
@@ -201,15 +200,13 @@ func TestPeerFlightCoalesce(t *testing.T) {
 			if lead {
 				t.Error("second leader elected while a call is in flight")
 			}
-			followers.Add(1)
-			<-c.done
-			results <- c.ok
+			results <- c.wait().ok
 		}()
 	}
-	for followers.Load() < waiters {
+	for g.shared.Load() < waiters {
 		runtime.Gosched()
 	}
-	g.finish("fp-1", leaderCall, sim.Result{}, true)
+	g.finish("fp-1", leaderCall, peerFill{ok: true})
 	for i := 0; i < waiters; i++ {
 		if ok := <-results; !ok {
 			t.Fatal("waiter saw !ok after a successful fill")
@@ -263,8 +260,13 @@ func TestClusterWarmPush(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if sent := srvs[owner].Stats().Peer.WarmPushSent; sent == 0 {
-		t.Error("owner counted no warm pushes sent")
+	// The successor caches the entry before it answers the push, so
+	// the owner counts the push as sent only a moment later.
+	for srvs[owner].Stats().Peer.WarmPushSent == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("owner counted no warm pushes sent")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if recv := srvs[succ].Stats().Peer.WarmPushReceived; recv == 0 {
 		t.Error("successor counted no warm pushes received")
@@ -313,6 +315,9 @@ func TestPeerBatchGuards(t *testing.T) {
 	}
 	if srvs[0].Stats().Peer.LoopRejects != 1 {
 		t.Error("loop reject not counted")
+	}
+	if n := totalSims(srvs); n != 0 {
+		t.Errorf("a looped request still simulated (%d sims)", n)
 	}
 
 	// Per-cell skew: the bogus cell carries a 409 status, the good

@@ -71,7 +71,7 @@ type Config struct {
 	QuarantineBudget int64
 	// Cluster, when non-nil, joins the node to a fleet: fingerprints
 	// route to their consistent-hash owner, misses fill from peers,
-	// and this node answers /v1/peer/sim for the keys it owns. The
+	// and this node answers /v1/peer/batch for the keys it owns. The
 	// server starts the cluster's health prober and closes the
 	// cluster on Close.
 	Cluster *cluster.Cluster
@@ -97,7 +97,7 @@ type Server struct {
 	opts    runner.Options
 	disp    *runner.Dispatcher
 	cache   *ResultCache
-	flight  flightGroup
+	flight  flight[cellOutcome]
 	policy  TenantPolicy
 	limiter *rateLimiter
 	faults  *Injector
@@ -136,10 +136,10 @@ type Server struct {
 	// Scatter-gather machinery: the cluster-level singleflight over
 	// wire fills, batch-RPC accounting, and the warm-push replicator
 	// (nil when disabled or standalone).
-	peerFlight                                   peerFlight
-	peerBatchRPCs, peerBatchCells, peerCoalesced atomic.Uint64
-	warmPush                                     *warmPusher
-	warmRecv, warmRejected                       atomic.Uint64
+	peerFlight                    flight[peerFill]
+	peerBatchRPCs, peerBatchCells atomic.Uint64
+	warmPush                      *warmPusher
+	warmRecv, warmRejected        atomic.Uint64
 }
 
 // New starts a server. The caller owns the HTTP listener; Handler
@@ -230,7 +230,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sim", s.handleSim)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/artifact", s.handleArtifact)
-	mux.HandleFunc("POST /v1/peer/sim", s.handlePeerSim)
 	mux.HandleFunc("POST /v1/peer/batch", s.handlePeerBatch)
 	mux.HandleFunc("POST /v1/peer/warm", s.handlePeerWarm)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -283,18 +282,18 @@ func (s *Server) cell(job runner.Job, tenant string) (cell runner.CellResult, ti
 		return runner.CellResult{Result: res, Cached: true}, tier, nil
 	}
 	var simDur time.Duration
-	cell, err, shared := s.flight.Do(fp, func() (runner.CellResult, error) {
+	out, shared := s.flight.do(fp, func() cellOutcome {
 		// Re-check under the flight: a concurrent leader may have
-		// populated the cache between our Get and Do.
+		// populated the cache between our Get and do.
 		if res, _, ok := s.cache.peek(fp); ok {
-			return runner.CellResult{Result: res, Cached: true}, nil
+			return cellOutcome{cell: runner.CellResult{Result: res, Cached: true}}
 		}
 		if s.faults.DropQueueSlot() {
-			return runner.CellResult{}, fmt.Errorf("%w (fault injection)", runner.ErrQueueFull)
+			return cellOutcome{err: fmt.Errorf("%w (fault injection)", runner.ErrQueueFull)}
 		}
 		p, err := s.disp.SubmitTenant(s.ctx, job, s.opts, tenant, s.policy.weightOf(tenant))
 		if err != nil {
-			return runner.CellResult{}, err
+			return cellOutcome{err: err}
 		}
 		// The job always completes (cancellation fails it fast), so
 		// waiting on Background cannot leak.
@@ -305,8 +304,9 @@ func (s *Server) cell(job runner.Job, tenant string) (cell runner.CellResult, ti
 			s.cache.Put(fp, cell.Result)
 			s.maybeWarmPush(job, fp, cell.Result)
 		}
-		return cell, nil
+		return cellOutcome{cell: cell}
 	})
+	cell, err = out.cell, out.err
 	switch {
 	case err != nil:
 		s.cellsRejected.Add(1)
@@ -513,16 +513,16 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	cell, tier, err := s.routedCell(jobs[0], tenant)
-	if err != nil || cell.Err != nil {
-		s.writeCellError(w, cell, err)
+	out := s.runAll(jobs, tenant)[0]
+	if out.err != nil || out.cell.Err != nil {
+		s.writeCellError(w, out.cell, out.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Psb-Cache", tier)
+	w.Header().Set("X-Psb-Cache", out.tier)
 	w.Header().Set("X-Psb-Fingerprint", jobs[0].Fingerprint())
 	w.Header().Set("X-Psb-Serve-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-	w.Write(EncodeResult(cell.Result))
+	w.Write(EncodeResult(out.cell.Result))
 }
 
 // BatchCell is one cell's outcome in a batch response.
@@ -632,21 +632,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(b, '\n'))
 }
 
-// batchOutcome pairs a cell with its serving metadata.
-type batchOutcome struct {
+// cellOutcome pairs a cell with its serving metadata.
+type cellOutcome struct {
 	cell runner.CellResult
 	tier string
 	err  error
 }
 
 // runAll resolves jobs concurrently on the tenant's queue. In cluster
-// mode the batch scatter-gathers — one peer RPC per remote owner —
-// instead of paying a round trip per cell.
-func (s *Server) runAll(jobs []runner.Job, tenant string) []batchOutcome {
+// mode the jobs scatter-gather — one peer RPC per remote owner, so a
+// single remotely owned cell travels as a peer batch of one — instead
+// of paying a round trip per cell.
+func (s *Server) runAll(jobs []runner.Job, tenant string) []cellOutcome {
 	if s.cluster != nil {
 		return s.scatterGather(jobs, tenant)
 	}
-	out := make([]batchOutcome, len(jobs))
+	out := make([]cellOutcome, len(jobs))
 	var wg sync.WaitGroup
 	for i := range jobs {
 		wg.Add(1)

@@ -3,57 +3,70 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/runner"
 )
 
-// flightCall is one in-progress execution of a fingerprint.
-type flightCall struct {
+// flightCall is one in-progress execution of a key.
+type flightCall[T any] struct {
 	done chan struct{}
-	cell runner.CellResult
-	err  error
+	val  T
 }
 
-// flightGroup deduplicates concurrent work by fingerprint: the first
-// caller for a key becomes the leader and runs fn; every concurrent
-// caller for the same key waits for the leader's outcome instead of
-// running a duplicate simulation. Calls are forgotten once complete —
-// errors are never cached, so a later request retries — while
-// successful results persist in the ResultCache, not here.
-type flightGroup struct {
+// wait blocks until the leader finishes and returns its value.
+func (c *flightCall[T]) wait() T {
+	<-c.done
+	return c.val
+}
+
+// flight deduplicates concurrent work by fingerprint: the first caller
+// for a key becomes the leader and does the work; every concurrent
+// caller for the same key waits for the leader's value instead of
+// repeating it. Calls are forgotten once finished — nothing is cached
+// here, errors included, so a later request retries — while successful
+// results persist in the ResultCache.
+type flight[T any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
-	// dedup counts followers served by a leader's execution: the
-	// simulations that would have run without singleflight.
-	dedup atomic.Uint64
+	calls map[string]*flightCall[T]
+	// shared counts callers that waited on a leader: the work that
+	// would have been repeated without the flight.
+	shared atomic.Uint64
 }
 
-// Do executes fn under the key's flight, returning the leader's
-// outcome and whether this caller was a follower (shared result).
-func (g *flightGroup) Do(fp string, fn func() (runner.CellResult, error)) (runner.CellResult, error, bool) {
+// begin registers interest in key. The first caller leads (and must
+// call finish exactly once); everyone else waits on the returned call.
+func (g *flight[T]) begin(key string) (*flightCall[T], bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[string]*flightCall[T])
 	}
-	if call, ok := g.calls[fp]; ok {
-		g.mu.Unlock()
-		g.dedup.Add(1)
-		<-call.done
-		return call.cell, call.err, true
+	if c, ok := g.calls[key]; ok {
+		g.shared.Add(1)
+		return c, false
 	}
-	call := &flightCall{done: make(chan struct{})}
-	g.calls[fp] = call
-	g.mu.Unlock()
-
-	defer func() {
-		g.mu.Lock()
-		delete(g.calls, fp)
-		g.mu.Unlock()
-		close(call.done)
-	}()
-	call.cell, call.err = fn()
-	return call.cell, call.err, false
+	c := &flightCall[T]{done: make(chan struct{})}
+	g.calls[key] = c
+	return c, true
 }
 
-// Dedup returns the number of simulations singleflight avoided.
-func (g *flightGroup) Dedup() uint64 { return g.dedup.Load() }
+// finish publishes the leader's value, forgets the key and releases the
+// waiters.
+func (g *flight[T]) finish(key string, c *flightCall[T], v T) {
+	c.val = v
+	g.mu.Lock()
+	delete(g.calls, key)
+	g.mu.Unlock()
+	close(c.done)
+}
+
+// do runs fn under key's flight and returns the leader's value and
+// whether this caller shared it. Waiters are released even if fn
+// panics.
+func (g *flight[T]) do(key string, fn func() T) (v T, shared bool) {
+	c, leader := g.begin(key)
+	if !leader {
+		return c.wait(), true
+	}
+	defer func() { g.finish(key, c, v) }()
+	v = fn()
+	return v, false
+}

@@ -133,12 +133,6 @@ func TestSampledValidation(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.Batch = 4
-	if err := cfg.Validate(); err == nil {
-		t.Error("lockstep batching accepted for sampling")
-	}
-
-	cfg = base
 	cfg.SampleWarmup = 20_000
 	cfg.SampleLen = 10_000
 	cfg.SamplePeriod = 25_000
@@ -150,10 +144,6 @@ func TestSampledValidation(t *testing.T) {
 	cfg.SampleMode = SampleMode(99)
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown sample mode accepted")
-	}
-
-	if _, err := NewMachine(get(t, "health"), core.None, base); err == nil {
-		t.Error("NewMachine accepted a sampled config")
 	}
 }
 

@@ -37,15 +37,6 @@ type Config struct {
 	// results do not depend on Workers (see internal/runner).
 	Workers int
 
-	// Batch, when positive, makes the experiment drivers advance up to
-	// Batch same-trace simulations in lockstep on one goroutine (a few
-	// thousand instructions each per turn) instead of running each cell
-	// to completion alone, so a whole column of the matrix shares one
-	// hot decoded trace and one warm cache footprint. Results do not
-	// depend on Batch (see internal/runner's differential tests); like
-	// Workers it is excluded from job fingerprints.
-	Batch int
-
 	// TraceMode selects how the run obtains its instruction stream:
 	// live functional execution (TraceOff), the process-wide trace
 	// cache (TraceMemory), or the cache backed by .psbtrace files in
@@ -61,7 +52,7 @@ type Config struct {
 	// measured after a SampleWarmup detailed prefix), functional
 	// fast-forward between them, and an IPC estimate with confidence
 	// bounds in Result.Sampled. Sampling changes the statistics a run
-	// reports, so unlike Workers/Batch/TraceMode these four fields are
+	// reports, so unlike Workers and TraceMode these four fields are
 	// result-affecting and participate in job fingerprints. Requires a
 	// trace mode other than TraceOff; zero parameter fields select the
 	// Default* constants in sample.go.

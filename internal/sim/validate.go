@@ -70,10 +70,6 @@ func (cfg Config) Validate() error {
 			return &ConfigError{Field: "SampleMode",
 				Err: errors.New("sampled simulation needs a recorded stream; use trace mode memory or disk")}
 		}
-		if cfg.Batch > 0 {
-			return &ConfigError{Field: "SampleMode",
-				Err: errors.New("sampled simulation is incompatible with lockstep batching (Batch > 0)")}
-		}
 		period, length, warmup := cfg.sampleSpec()
 		if warmup+length > period {
 			return &ConfigError{Field: "SamplePeriod",
@@ -91,6 +87,15 @@ func (cfg Config) Validate() error {
 // simulated up to the abort. Like Run, RunChecked is safe for
 // concurrent use and deterministic for equal arguments.
 func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
+	return RunProgress(ctx, w, v, cfg, 0, nil)
+}
+
+// RunProgress is RunChecked that, for an exact run with step > 0,
+// pauses every step committed instructions to call report with the
+// count so far. Pausing does not change the result. A sampled run
+// jumps between intervals and never calls report.
+func RunProgress(ctx context.Context, w workload.Workload, v core.Variant, cfg Config,
+	step uint64, report func(committed uint64)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -105,6 +110,15 @@ func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := m.cpu.RunChecked(ctx, cfg.MaxInsts)
-	return m.result(w, v, st), err
+	for {
+		var stopAt uint64
+		if step > 0 {
+			stopAt = m.cpu.Stats().Committed + step
+		}
+		done, err := m.cpu.Advance(ctx, cfg.MaxInsts, stopAt)
+		if done || err != nil {
+			return m.result(w, v, m.cpu.Stats()), err
+		}
+		report(m.cpu.Stats().Committed)
+	}
 }

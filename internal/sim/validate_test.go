@@ -86,6 +86,36 @@ func TestRunCheckedMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunProgressMatchesRunChecked: pausing every few thousand
+// instructions to report progress leaves the result bit-identical,
+// and each report sees more committed instructions than the last.
+func TestRunProgressMatchesRunChecked(t *testing.T) {
+	cfg := Default()
+	cfg.MaxInsts = 20_000
+	w := workload.All()[0]
+	want, err := RunChecked(context.Background(), w, core.PSBConfPriority, cfg)
+	if err != nil {
+		t.Fatalf("RunChecked: %v", err)
+	}
+	var reports []uint64
+	got, err := RunProgress(context.Background(), w, core.PSBConfPriority, cfg, 3_000,
+		func(committed uint64) { reports = append(reports, committed) })
+	if err != nil {
+		t.Fatalf("RunProgress: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RunProgress result differs from RunChecked")
+	}
+	if len(reports) < 5 {
+		t.Fatalf("got %d progress reports over 20K insts at a 3K step, want at least 5", len(reports))
+	}
+	for i := 1; i < len(reports); i++ {
+		if reports[i] <= reports[i-1] {
+			t.Fatalf("progress went backwards: %v", reports)
+		}
+	}
+}
+
 // TestRunCheckedConfigError: an invalid config comes back as a
 // *ConfigError value, never a panic, and no simulation runs.
 func TestRunCheckedConfigError(t *testing.T) {

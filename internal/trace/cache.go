@@ -324,7 +324,7 @@ func (r *Replay) From(pos uint64) *Replay {
 // the cache's backing array. Consumers that can index a slice directly
 // (the timing core's shared-replay cursor) read records in place — no
 // per-instruction interface call, no record copy — which is what lets
-// many lockstepped simulations share one decoded trace cache-hot.
+// every cell of a matrix column replay one decoded trace.
 // Callers must not mutate the returned slice; Next and Rest must not
 // be mixed on the same Replay.
 func (r *Replay) Rest() []vm.DynInst { return r.insts[r.pos:] }
