@@ -334,9 +334,9 @@ func TestLoadStoreCounts(t *testing.T) {
 }
 
 func TestSliceSource(t *testing.T) {
-	s := &SliceSource{Insts: []vm.DynInst{{Seq: 0}, {Seq: 1}}}
+	s := &SliceSource{Insts: []vm.DynInst{{PC: 0x100}, {PC: 0x104}}}
 	d, ok := s.Next()
-	if !ok || d.Seq != 0 {
+	if !ok || d.PC != 0x100 {
 		t.Fatal("first Next wrong")
 	}
 	s.Next()

@@ -21,13 +21,33 @@ import (
 // golden. Any change to the simulator, the executor or the renderers
 // that moves a single byte of the reproduction fails here.
 func TestArtifactsGolden20K(t *testing.T) {
-	want, err := os.ReadFile("testdata/artifacts_20k.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := sim.Default()
 	cfg.MaxInsts = 20_000
 	cfg.Workers = 2
+	checkArtifactsGolden(t, cfg, "testdata/artifacts_20k.txt")
+}
+
+// TestSampledArtifactsGolden is the sampled sibling: the same artifact
+// set with sampling on at 100K instructions, as psbtables -all -sample
+// -insts 100000 prints it. It pins fast-forward, the checkpoint store
+// and the estimator along with the detailed core.
+func TestSampledArtifactsGolden(t *testing.T) {
+	cfg := sim.Default()
+	cfg.MaxInsts = 100_000
+	cfg.Workers = 2
+	cfg.TraceMode = sim.TraceMemory
+	cfg.SampleMode = sim.SampleOn
+	checkArtifactsGolden(t, cfg, "testdata/artifacts_sampled_100k.txt")
+}
+
+// checkArtifactsGolden renders every artifact under cfg through a
+// Session and diffs the text against the golden file.
+func checkArtifactsGolden(t *testing.T, cfg sim.Config, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSession(context.Background(), cfg, runner.DefaultOptions())
 	m := s.Matrix()
 	var b strings.Builder
@@ -44,10 +64,10 @@ func TestArtifactsGolden20K(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("artifacts differ from testdata/artifacts_20k.txt at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+				t.Fatalf("artifacts differ from %s at line %d:\n got: %s\nwant: %s", golden, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("artifacts differ from testdata/artifacts_20k.txt in length: %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("artifacts differ from %s in length: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }
 

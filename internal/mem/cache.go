@@ -41,11 +41,16 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// cacheLine is one tag-array entry, 16 bytes so a 4-way set fills one
+// 64-byte host cache line. lastUse is the LRU timestamp and doubles as
+// the valid bit: clock increments before every stamp, so a valid line
+// always has lastUse >= 1 and lastUse == 0 means invalid.
 type cacheLine struct {
 	tag     uint64
-	valid   bool
-	lastUse uint64 // LRU timestamp
+	lastUse uint64
 }
+
+func (l *cacheLine) valid() bool { return l.lastUse != 0 }
 
 // CacheStats counts raw tag-array activity. The paper's "in-flight
 // counts as a miss" metric is assembled at the CPU level, where stream
@@ -118,7 +123,7 @@ func (c *Cache) set(addr uint64) []cacheLine {
 // each loop iteration is measurable on that hot path.
 func findWay(set []cacheLine, tag uint64) int {
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].valid() && set[i].tag == tag {
 			return i
 		}
 	}
@@ -154,23 +159,23 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
 	set := c.set(addr)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].valid() && set[i].tag == tag {
 			set[i].lastUse = c.clock
 			return 0, false
 		}
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
+		} else if set[victim].valid() && set[i].lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
 	v := &set[victim]
-	evicted, wasValid = v.tag<<c.blockShift, v.valid
+	evicted, wasValid = v.tag<<c.blockShift, v.valid()
 	if wasValid {
 		c.stats.Evicts++
 	}
 	c.stats.Fills++
-	*v = cacheLine{tag: tag, valid: true, lastUse: c.clock}
+	*v = cacheLine{tag: tag, lastUse: c.clock}
 	return evicted, wasValid
 }
 
@@ -178,7 +183,7 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
 func (c *Cache) Invalidate(addr uint64) bool {
 	set := c.set(addr)
 	if i := findWay(set, addr>>c.blockShift); i >= 0 {
-		set[i].valid = false
+		set[i].lastUse = 0
 		return true
 	}
 	return false

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallCache() *Cache {
@@ -120,6 +121,73 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 	if c.Invalidate(0x40) {
 		t.Error("Invalidate hit absent block")
+	}
+}
+
+// TestCacheLineLayout pins a tag-array line at 16 bytes (a 4-way set
+// per 64-byte host line); the valid bit lives in lastUse.
+func TestCacheLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(cacheLine{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(cacheLine{}) = %d, want 16", got)
+	}
+}
+
+// TestCacheInvalidateThenInsertVictims walks one 4-way set through
+// invalidations and refills and checks every victim: an invalid way is
+// refilled before any valid one (the highest-numbered invalid way
+// first), and once the set is full again the least recently used valid
+// line goes. An invalidated line keeps no LRU standing.
+func TestCacheInvalidateThenInsertVictims(t *testing.T) {
+	c := NewCache(CacheConfig{Name: "set", SizeBytes: 4 * 64, Ways: 4, BlockBytes: 64})
+	blk := func(i uint64) uint64 { return i * 64 }
+	for i := uint64(0); i < 4; i++ {
+		c.Insert(blk(i)) // way i, stamps 1..4
+	}
+	c.Access(blk(0)) // LRU order now 1, 2, 3, 0
+	c.Invalidate(blk(2))
+	c.Invalidate(blk(0))
+
+	resident := func(want ...uint64) {
+		t.Helper()
+		in := map[uint64]bool{}
+		for _, b := range want {
+			in[b] = true
+		}
+		for b := uint64(0); b < 10; b++ {
+			if c.Probe(blk(b)) != in[b] {
+				t.Fatalf("block %d resident = %v, want %v (want set %v)", b, !in[b], in[b], want)
+			}
+		}
+	}
+	steps := []struct {
+		insert   uint64
+		evicted  uint64
+		wasValid bool
+		resident []uint64
+	}{
+		{insert: 4, wasValid: false, resident: []uint64{1, 3, 4}},    // way 2, the last invalid way
+		{insert: 5, wasValid: false, resident: []uint64{1, 3, 4, 5}}, // way 0
+		{insert: 6, evicted: 1, wasValid: true, resident: []uint64{3, 4, 5, 6}},
+		{insert: 7, evicted: 3, wasValid: true, resident: []uint64{4, 5, 6, 7}},
+	}
+	for _, s := range steps {
+		ev, was := c.Insert(blk(s.insert))
+		if was != s.wasValid || (was && ev != blk(s.evicted)) {
+			t.Fatalf("Insert(block %d) = (%#x, %v), want (%#x, %v)", s.insert, ev, was, blk(s.evicted), s.wasValid)
+		}
+		resident(s.resident...)
+	}
+	// A line invalidated after being touched most recently still goes
+	// first: block 4 (way 2) is invalid, so the refill lands there and
+	// the LRU valid line, block 5, survives.
+	c.Access(blk(4))
+	c.Invalidate(blk(4))
+	if _, was := c.Insert(blk(8)); was {
+		t.Fatal("refill evicted a valid line while an invalid way was free")
+	}
+	resident(5, 6, 7, 8)
+	if ev, was := c.Insert(blk(9)); !was || ev != blk(5) {
+		t.Fatalf("Insert(block 9) = (%#x, %v), want (%#x, true)", ev, was, blk(5))
 	}
 }
 

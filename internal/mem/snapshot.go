@@ -10,10 +10,10 @@ import "fmt"
 // only be applied to a structure built from the same configuration,
 // and SetState validates the shapes to catch mismatches.
 
-// CacheLineState is one tag-array line of a CacheState.
+// CacheLineState is one tag-array line of a CacheState. As in the
+// live tag array, LastUse == 0 marks an invalid line.
 type CacheLineState struct {
 	Tag     uint64
-	Valid   bool
 	LastUse uint64
 }
 
@@ -27,7 +27,7 @@ type CacheState struct {
 func (c *Cache) State() CacheState {
 	st := CacheState{Clock: c.clock, Lines: make([]CacheLineState, len(c.lines))}
 	for i, l := range c.lines {
-		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: l.valid, LastUse: l.lastUse}
+		st.Lines[i] = CacheLineState{Tag: l.tag, LastUse: l.lastUse}
 	}
 	return st
 }
@@ -41,7 +41,7 @@ func (c *Cache) SetState(st CacheState) error {
 			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
 	for i, l := range st.Lines {
-		c.lines[i] = cacheLine{tag: l.Tag, valid: l.Valid, lastUse: l.LastUse}
+		c.lines[i] = cacheLine{tag: l.Tag, lastUse: l.LastUse}
 	}
 	c.clock = st.Clock
 	return nil

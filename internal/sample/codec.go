@@ -19,6 +19,8 @@ import (
 //	bp       history, clock u64; counters; btb entries; ras; rasTop u64;
 //	         branches, dirWrong, targetWrong u64
 //	mem      L1D, L1I, L2 cache states; DTLB state
+//	         (a cache line is tag u64, lastUse u64, valid u8; valid is
+//	         lastUse != 0, kept on disk so older files still read)
 //	train    event count u32, then pc/addr u64 pairs
 //	checksum sha256 over everything above    32 bytes
 //
@@ -174,7 +176,7 @@ func (w *ckptWriter) cache(st mem.CacheState) {
 	for _, l := range st.Lines {
 		w.u64(l.Tag)
 		w.u64(l.LastUse)
-		w.bool(l.Valid)
+		w.bool(l.LastUse != 0)
 	}
 }
 
@@ -279,7 +281,16 @@ func (r *ckptReader) cache() mem.CacheState {
 	st := mem.CacheState{Clock: r.u64()}
 	st.Lines = make([]mem.CacheLineState, r.count())
 	for i := range st.Lines {
-		st.Lines[i] = mem.CacheLineState{Tag: r.u64(), LastUse: r.u64(), Valid: r.bool()}
+		l := mem.CacheLineState{Tag: r.u64(), LastUse: r.u64()}
+		switch valid := r.bool(); {
+		case !valid:
+			// Older writers kept an invalidated line's timestamp; the
+			// tag array now marks invalid lines by LastUse == 0.
+			l.LastUse = 0
+		case l.LastUse == 0 && r.err == nil:
+			r.err = errors.New("sample: checkpoint has a valid cache line with LastUse 0")
+		}
+		st.Lines[i] = l
 	}
 	return st
 }

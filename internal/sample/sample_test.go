@@ -1,6 +1,9 @@
 package sample
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -77,6 +80,55 @@ func TestCodecRoundTrip(t *testing.T) {
 	short.Geometry = "deadbeef"
 	if _, err := Decode(data, short); err == nil {
 		t.Error("checkpoint accepted under the wrong geometry")
+	}
+}
+
+// TestCodecCacheLineValidity checks how the on-disk valid byte maps
+// onto the tag array's LastUse == 0 encoding: an invalid line written
+// with a stale timestamp (as older writers did after an invalidation)
+// reads back invalid, and a line marked valid with LastUse 0 is
+// rejected as corrupt.
+func TestCodecCacheLineValidity(t *testing.T) {
+	insts := healthStream(t, 2_000)
+	f := bootFor(insts)()
+	f.AdvanceTo(1_000)
+	st := f.Snapshot()
+	const tag = 0x0123_4567_89ab_cdef
+	st.Mem.L2.Lines[0] = mem.CacheLineState{Tag: tag, LastUse: 0}
+	k := testKey()
+	data := Encode(k, st)
+
+	// The line is tag, lastUse, valid; find it and rewrite the record.
+	rec := binary.LittleEndian.AppendUint64(nil, tag)
+	rec = append(rec, make([]byte, 9)...)
+	at := bytes.Index(data, rec)
+	if at < 0 || bytes.Index(data[at+1:], rec) >= 0 {
+		t.Fatal("cannot locate the planted cache line")
+	}
+	patch := func(lastUse uint64, valid byte) []byte {
+		b := append([]byte(nil), data[:len(data)-sha256.Size]...)
+		binary.LittleEndian.PutUint64(b[at+8:], lastUse)
+		b[at+16] = valid
+		sum := sha256.Sum256(b)
+		return append(b, sum[:]...)
+	}
+
+	got, err := Decode(patch(7, 0), k)
+	if err != nil {
+		t.Fatalf("invalid line with a stale timestamp: %v", err)
+	}
+	if l := got.Mem.L2.Lines[0]; l != (mem.CacheLineState{Tag: tag}) {
+		t.Errorf("invalid line decoded as %+v, want LastUse 0", l)
+	}
+	if _, err := Decode(patch(0, 1), k); err == nil {
+		t.Error("valid line with LastUse 0 accepted")
+	}
+	got, err = Decode(patch(7, 1), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := got.Mem.L2.Lines[0]; l != (mem.CacheLineState{Tag: tag, LastUse: 7}) {
+		t.Errorf("valid line decoded as %+v", l)
 	}
 }
 

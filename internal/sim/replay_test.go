@@ -7,8 +7,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
+
+// TestRecordingHoldsTraceNeed: a recording made for a run holds
+// exactly TraceNeed records with no spare capacity, and a sampled run
+// sharing the key extends it to the sampled budget, again exactly.
+func TestRecordingHoldsTraceNeed(t *testing.T) {
+	w, err := workload.ByName("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Default()
+	cfg.MaxInsts = 12_345
+	sampled := cfg
+	sampled.SampleMode = sim.SampleOn
+	if sim.TraceNeed(sampled) <= sim.TraceNeed(cfg) {
+		t.Fatal("sampled budget does not exceed the exact one; the extension leg tests nothing")
+	}
+	var c trace.Cache
+	for _, rc := range []sim.Config{cfg, sampled} {
+		need := sim.TraceNeed(rc)
+		rep, err := c.Source(sim.TraceKey(w, rc), need, "", func() *vm.Machine { return w.Build(rc.Seed) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := rep.Rest(); uint64(len(rec)) != need || uint64(cap(rec)) != need {
+			t.Errorf("sample=%v: recording len/cap = %d/%d, want TraceNeed = %d", rc.SampleMode, len(rec), cap(rec), need)
+		}
+	}
+}
 
 // TestReplayEquivalence is the tentpole determinism guarantee: for
 // every workload under every paper scheme (plus the no-prefetch base),

@@ -198,6 +198,15 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 		insts, complete = nil, false
 		m = build()
 	}
+	if need > uint64(cap(insts)) {
+		// One allocation sized to the budget, fresh or extending:
+		// letting append double its way there would allocate about
+		// twice the final recording in discarded copies. Replays of the
+		// shorter recording keep the old backing array.
+		grown := make([]vm.DynInst, len(insts), need)
+		copy(grown, insts)
+		insts = grown
+	}
 	for !complete && (need == 0 || uint64(len(insts)) < need) {
 		d, serr := m.Step()
 		if serr != nil {
@@ -211,6 +220,13 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 	}
 	if complete {
 		m = nil // free the guest machine; the recording is final
+		if cap(insts) > len(insts) {
+			// A final recording is resident for the life of the
+			// process: keep none of the budget the program did not use.
+			exact := make([]vm.DynInst, len(insts))
+			copy(exact, insts)
+			insts = exact
+		}
 	}
 	if dir != "" {
 		if err := c.store(k, dir, insts, complete); err != nil {

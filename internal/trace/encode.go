@@ -9,10 +9,10 @@
 // The package provides three layers:
 //
 //   - a compact binary encoding of vm.DynInst records (Encoder and
-//     Decoder): sequence numbers, PCs and effective addresses are
-//     delta-encoded against the previous record and written as
-//     varints, so the common record (sequential PC, small address
-//     stride) costs ~6 bytes instead of 48;
+//     Decoder): PCs and effective addresses are delta-encoded against
+//     the previous record and written as varints, so the common record
+//     (sequential PC, small address stride) costs ~6 bytes instead of
+//     32;
 //   - an in-memory Replay source over a recorded []vm.DynInst slice,
 //     structurally satisfying the timing core's Source interface;
 //   - a process-wide Cache keyed by (workload, seed, MaxInsts) that
@@ -42,15 +42,16 @@ const (
 )
 
 // Per-record flag bits. Fields whose bit is clear take their common
-// value (sequential Seq, fall-through PC/NextPC, no memory access) and
-// are omitted from the encoding.
+// value (fall-through PC/NextPC, no memory access) and are omitted from
+// the encoding. Bit 2 once flagged a gap in a per-record sequence
+// number; records carry none now, no recorder ever set it, and the
+// decoder rejects it with the other unknown bits.
 const (
 	flagTaken   = 1 << 0 // control left the fall-through path
 	flagMem     = 1 << 1 // record carries MemSize + EffAddr delta
-	flagSeq     = 1 << 2 // Seq != previous Seq + 1
 	flagPC      = 1 << 3 // PC != previous NextPC
 	flagNextPC  = 1 << 4 // NextPC != PC + isa.InstBytes
-	flagUnknown = ^byte(flagTaken | flagMem | flagSeq | flagPC | flagNextPC)
+	flagUnknown = ^byte(flagTaken | flagMem | flagPC | flagNextPC)
 )
 
 // Header describes one encoded stream.
@@ -69,15 +70,11 @@ type Header struct {
 }
 
 // prevState is the delta-encoding context shared by Encoder and
-// Decoder. The initial previous sequence number is ^0 so the expected
-// first Seq is 0 without a special case.
+// Decoder; both start from the zero value.
 type prevState struct {
-	seq     uint64
 	nextPC  uint64
 	effAddr uint64
 }
-
-func initialPrev() prevState { return prevState{seq: ^uint64(0)} }
 
 // zigzag folds a signed delta into an unsigned varint-friendly form.
 func zigzag(v uint64) uint64 { return (v << 1) ^ uint64(int64(v)>>63) }
@@ -113,7 +110,7 @@ func NewEncoder(w io.Writer, hdr Header) (*Encoder, error) {
 	if _, err := bw.Write(buf); err != nil {
 		return nil, err
 	}
-	return &Encoder{w: bw, prev: initialPrev(), buf: buf[:0]}, nil
+	return &Encoder{w: bw, buf: buf[:0]}, nil
 }
 
 // Write appends one record.
@@ -126,9 +123,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	if d.MemSize != 0 {
 		flags |= flagMem
 	}
-	if d.Seq != e.prev.seq+1 {
-		flags |= flagSeq
-	}
 	if d.PC != e.prev.nextPC {
 		flags |= flagPC
 	}
@@ -136,9 +130,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 		flags |= flagNextPC
 	}
 	b = append(b, byte(d.Op), flags, byte(d.Rd), byte(d.Rs1), byte(d.Rs2))
-	if flags&flagSeq != 0 {
-		b = binary.AppendUvarint(b, zigzag(d.Seq-(e.prev.seq+1)))
-	}
 	if flags&flagPC != 0 {
 		b = binary.AppendUvarint(b, zigzag(d.PC-e.prev.nextPC))
 	}
@@ -150,7 +141,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	if flags&flagNextPC != 0 {
 		b = binary.AppendUvarint(b, zigzag(d.NextPC-(d.PC+isa.InstBytes)))
 	}
-	e.prev.seq = d.Seq
 	e.prev.nextPC = d.NextPC
 	e.buf = b
 	_, err := e.w.Write(b)
@@ -216,7 +206,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if hdr.Count, err = binary.ReadUvarint(br); err != nil {
 		return nil, fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
-	return &Decoder{r: br, hdr: hdr, prev: initialPrev()}, nil
+	return &Decoder{r: br, hdr: hdr}, nil
 }
 
 // Header returns the stream's header.
@@ -255,14 +245,6 @@ func (d *Decoder) next() (vm.DynInst, error) {
 		Rs1: isa.Reg(fixed[3]),
 		Rs2: isa.Reg(fixed[4]),
 	}
-	di.Seq = d.prev.seq + 1
-	if flags&flagSeq != 0 {
-		delta, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: bad seq delta", ErrCorrupt)
-		}
-		di.Seq += unzigzag(delta)
-	}
 	di.PC = d.prev.nextPC
 	if flags&flagPC != 0 {
 		delta, err := binary.ReadUvarint(d.r)
@@ -293,7 +275,6 @@ func (d *Decoder) next() (vm.DynInst, error) {
 		di.NextPC += unzigzag(delta)
 	}
 	di.Taken = flags&flagTaken != 0
-	d.prev.seq = di.Seq
 	d.prev.nextPC = di.NextPC
 	d.read++
 	return di, nil

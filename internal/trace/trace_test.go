@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,11 +93,57 @@ func TestRoundTrip(t *testing.T) {
 		if _, err := dec.Next(); err != io.EOF {
 			t.Fatalf("%s: want io.EOF after last record, got %v", name, err)
 		}
-		// 48 bytes raw per DynInst; the delta encoding should stay
+		// 32 bytes raw per DynInst; the delta encoding should stay
 		// under 8 bytes/record even on the branchy pointer chasers.
 		if len(insts) > 0 && len(enc) > len(insts)*8 {
 			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, len(enc), len(insts))
 		}
+	}
+}
+
+// TestDecoderRejectsSeqFlag: flag bit 2 once marked a gap in a
+// per-record sequence number. Records carry none now, so a record with
+// that bit set is corrupt; the records before it still decode.
+func TestDecoderRejectsSeqFlag(t *testing.T) {
+	dec, err := NewDecoder(bytes.NewReader(seqGapStream(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range fuzzInsts[:len(fuzzInsts)-1] {
+		got, err := dec.Next()
+		if err != nil || got != want {
+			t.Fatalf("record %d = %+v, %v; want %+v", i, got, err, want)
+		}
+	}
+	if _, err := dec.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("record with bit 2 set: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodesSeqEraFile decodes a PSBTRC01 file written by the encoder
+// that still carried sequence numbers (testdata/loop10.psbtrace, a
+// 10-iteration countingLoop). Those writers never set the gap flag, so
+// the file decodes to today's recording and re-encodes to the same
+// bytes.
+func TestDecodesSeqEraFile(t *testing.T) {
+	old, err := os.ReadFile("testdata/loop10.psbtrace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dec.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := record(t, countingLoop(10), 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %d records, differing from a fresh %d-record recording", len(got), len(want))
+	}
+	if enc := encodeAll(t, dec.Header(), want); !bytes.Equal(enc, old) {
+		t.Fatal("re-encoding the recording changed the file's bytes")
 	}
 }
 
@@ -213,6 +261,89 @@ func TestCacheExtension(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allocatedDuring returns the bytes the heap allocated while f ran.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// oneRecordingAlloc is the most a recording of n records may allocate
+// if it is one backing array: n 32-byte records plus slack for the
+// entry and its bookkeeping, far below what append's doubling copies
+// would add.
+func oneRecordingAlloc(n int) uint64 { return uint64(n)*32 + 64<<10 }
+
+// TestRecordingAllocatedOnce: a budgeted recording is one allocation
+// of exactly the budget, not a doubling series.
+func TestRecordingAllocatedOnce(t *testing.T) {
+	var c Cache
+	const need = 100_000
+	m := countingLoop(1 << 20)
+	var r *Replay
+	alloc := allocatedDuring(func() {
+		var err error
+		if r, err = c.Source(Key{Workload: "loop", MaxInsts: need}, need, "", func() *vm.Machine { return m }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec := r.Rest(); len(rec) != need || cap(rec) != need {
+		t.Fatalf("recording len/cap = %d/%d, want %d/%d", len(rec), cap(rec), need, need)
+	}
+	if alloc > oneRecordingAlloc(need) {
+		t.Errorf("recording %d records allocated %d bytes, want at most %d", need, alloc, oneRecordingAlloc(need))
+	}
+}
+
+// TestRecordingHaltedIsExact: a program that halts inside its budget
+// leaves a recording with no spare capacity.
+func TestRecordingHaltedIsExact(t *testing.T) {
+	var c Cache
+	r, err := c.Source(Key{Workload: "loop", MaxInsts: 10_000}, 10_000, "", func() *vm.Machine { return countingLoop(10) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := r.Rest(); len(rec) >= 10_000 || cap(rec) != len(rec) {
+		t.Fatalf("halted recording len/cap = %d/%d, want cap == len < 10000", len(rec), cap(rec))
+	}
+}
+
+// TestRecordingExtensionGrowsOnce: extending a recording to a larger
+// budget copies it once into an array of exactly the new budget, and
+// replays of the shorter recording are undisturbed.
+func TestRecordingExtensionGrowsOnce(t *testing.T) {
+	var c Cache
+	k := Key{Workload: "loop", MaxInsts: 20_000}
+	m := countingLoop(1 << 20)
+	build := func() *vm.Machine { return m }
+	short, err := c.Source(k, 20_000, "", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]vm.DynInst(nil), short.Rest()...)
+	const need = 100_000
+	var long *Replay
+	alloc := allocatedDuring(func() {
+		if long, err = c.Source(k, need, "", build); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec := long.Rest(); len(rec) != need || cap(rec) != need {
+		t.Fatalf("extended recording len/cap = %d/%d, want %d/%d", len(rec), cap(rec), need, need)
+	}
+	if alloc > oneRecordingAlloc(need) {
+		t.Errorf("extension to %d records allocated %d bytes, want at most %d", need, alloc, oneRecordingAlloc(need))
+	}
+	if !reflect.DeepEqual(short.Rest(), before) {
+		t.Fatal("extension disturbed a replay of the shorter recording")
+	}
+	if !reflect.DeepEqual(long.Rest()[:len(before)], before) {
+		t.Fatal("extension rewrote the recorded prefix")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -206,7 +207,7 @@ func TestDynInstFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d0.Seq != 0 || d0.PC != m.TextBase || d0.Op != isa.ADDI {
+	if m.Executed() != 1 || d0.PC != m.TextBase || d0.Op != isa.ADDI {
 		t.Errorf("first DynInst = %+v", d0)
 	}
 
@@ -232,6 +233,15 @@ func TestDynInstFields(t *testing.T) {
 	}
 	if d3.NextPC != d3.PC+2*isa.InstBytes {
 		t.Errorf("branch NextPC = %#x, want %#x", d3.NextPC, d3.PC+2*isa.InstBytes)
+	}
+}
+
+// TestDynInstLayout pins the record at 32 bytes: recorded traces keep
+// one per executed instruction resident, so a field that widens it
+// grows every recording by the same fraction.
+func TestDynInstLayout(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(DynInst{}) = %d, want 32", got)
 	}
 }
 
