@@ -13,12 +13,14 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -29,6 +31,15 @@ func benchConfig() sim.Config {
 	cfg := sim.Default()
 	cfg.MaxInsts = 120_000
 	return cfg
+}
+
+// fresh returns a session with its own empty result table. Every
+// benchmark iteration builds its artifact through a fresh one: with the
+// process-wide table, iterations after the first would reuse every
+// cell and time nothing.
+func fresh(cfg sim.Config) *experiments.Session {
+	return experiments.NewSession(context.Background(), cfg,
+		runner.Options{Retries: 1, Checkpoint: runner.NewCheckpoint()})
 }
 
 // logTable prints the regenerated artifact once per benchmark run.
@@ -58,7 +69,7 @@ func BenchmarkFig4DeltaBits(b *testing.B) {
 	cfg := benchConfig()
 	var t *stats.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Fig4(cfg)
+		t = fresh(cfg).Fig4()
 	}
 	logTable(b, t)
 }
@@ -69,7 +80,7 @@ func figBench(b *testing.B, fig func(*experiments.Matrix) *stats.Table) {
 	cfg := benchConfig()
 	var t *stats.Table
 	for i := 0; i < b.N; i++ {
-		m := experiments.RunMatrix(cfg)
+		m := fresh(cfg).Matrix()
 		t = fig(m)
 	}
 	logTable(b, t)
@@ -85,7 +96,7 @@ func BenchmarkFig10CacheSweep(b *testing.B) {
 	cfg := benchConfig()
 	var t *stats.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Fig10(cfg)
+		t = fresh(cfg).Fig10()
 	}
 	logTable(b, t)
 }
@@ -94,7 +105,7 @@ func BenchmarkFig11Disambiguation(b *testing.B) {
 	cfg := benchConfig()
 	var t *stats.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Fig11(cfg)
+		t = fresh(cfg).Fig11()
 	}
 	logTable(b, t)
 }
@@ -138,7 +149,7 @@ func BenchmarkRunMatrixSerial(b *testing.B) {
 	cfg.MaxInsts = 60_000
 	cfg.Workers = 0
 	for i := 0; i < b.N; i++ {
-		experiments.RunMatrix(cfg)
+		fresh(cfg).Matrix()
 	}
 	b.ReportMetric(float64(matrixSims()*b.N)/b.Elapsed().Seconds(), "sims/sec")
 }
@@ -154,13 +165,13 @@ func BenchmarkRunMatrixParallel(b *testing.B) {
 	serialCfg := cfg
 	serialCfg.Workers = 0
 	start := time.Now()
-	experiments.RunMatrix(serialCfg)
+	fresh(serialCfg).Matrix()
 	serialSec := time.Since(start).Seconds()
 
 	cfg.Workers = -1 // one worker per core
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunMatrix(cfg)
+		fresh(cfg).Matrix()
 	}
 	perMatrix := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(float64(matrixSims())/perMatrix, "sims/sec")
@@ -180,14 +191,14 @@ func BenchmarkRunMatrixTraced(b *testing.B) {
 	serialCfg := cfg
 	serialCfg.Workers = 0
 	start := time.Now()
-	experiments.RunMatrix(serialCfg)
+	fresh(serialCfg).Matrix()
 	serialSec := time.Since(start).Seconds()
 
 	cfg.Workers = -1
 	cfg.TraceMode = sim.TraceMemory
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunMatrix(cfg)
+		fresh(cfg).Matrix()
 	}
 	perMatrix := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(float64(matrixSims())/perMatrix, "sims/sec")

@@ -324,7 +324,11 @@ func run() int {
 	}
 
 	if s.Cached() > 0 {
-		fmt.Fprintf(os.Stderr, "checkpoint satisfied %d cell(s); %d simulated\n", s.Cached(), s.Ran())
+		journaled := 0
+		if opts.Checkpoint != nil {
+			journaled = opts.Checkpoint.JournalHits()
+		}
+		fmt.Fprintf(os.Stderr, "reused %d cell(s) (%d from -checkpoint); %d simulated\n", s.Cached(), journaled, s.Ran())
 	}
 	if report := s.FailureReport(); report != "" {
 		fmt.Fprint(os.Stderr, report)
@@ -349,18 +353,34 @@ func run() int {
 // cache starts cold, so its time is what a user sees on a first traced
 // invocation; every later leg measures the warm steady state, which is
 // also what makes the accurate-vs-event comparison apples-to-apples.
+//
+// The legs differ only in fields the job fingerprint ignores, so each
+// runs against a fresh result table and must simulate every cell; a
+// leg that reused or lost a cell fails the command.
 func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	sims := len(workload.All()) * len(experiments.Schemes())
 
+	// legErr records the first leg that did not simulate every cell.
+	var legErr error
+	timed := func(c sim.Config) (float64, *experiments.Matrix) {
+		s := experiments.NewSession(context.Background(), c,
+			runner.Options{Retries: 1, Checkpoint: runner.NewCheckpoint()})
+		start := time.Now()
+		m := s.Matrix()
+		sec := time.Since(start).Seconds()
+		if s.Ran() != sims && legErr == nil {
+			legErr = fmt.Errorf("bench-json: a timed leg simulated %d of %d cells (%d reused, %d failed)",
+				s.Ran(), sims, s.Cached(), len(s.Failures()))
+		}
+		return sec, m
+	}
 	matrix := func(workers int, tm sim.TraceMode, cm cpu.CycleMode) (float64, *experiments.Matrix) {
 		c := cfg
 		c.Workers = workers
 		c.TraceMode = tm
 		c.TraceDir = ""
 		c.CPU.CycleMode = cm
-		start := time.Now()
-		m := experiments.RunMatrix(c)
-		return time.Since(start).Seconds(), m
+		return timed(c)
 	}
 
 	serialSec, _ := matrix(0, sim.TraceOff, cfg.CPU.CycleMode)
@@ -407,9 +427,10 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	sampledCfg.TraceDir = ""
 	sampledCfg.CPU.CycleMode = cpu.CycleModeEvent
 	sampledCfg.SampleMode = sim.SampleOn
-	start := time.Now()
-	sm := experiments.RunMatrix(sampledCfg)
-	sampledSec := time.Since(start).Seconds()
+	sampledSec, sm := timed(sampledCfg)
+	if legErr != nil {
+		return legErr
+	}
 	var maxRelErr float64
 	var ckHits, ckMisses, ffInsts uint64
 	for name, row := range sm.Results {

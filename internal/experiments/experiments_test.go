@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -90,11 +92,21 @@ func TestFig11Structure(t *testing.T) {
 	}
 }
 
+// freshSession returns a session with its own empty result table, so
+// every cell it builds is simulated rather than reused from earlier
+// tests in the process.
+func freshSession(cfg sim.Config) *Session {
+	return NewSession(context.Background(), cfg, runner.Options{Retries: 1, Checkpoint: runner.NewCheckpoint()})
+}
+
 // TestRunMatrixParallelDeterminism guards the parallel runner's core
 // guarantee: a matrix assembled by concurrent workers is value-equal to
 // the serial one. Any shared mutable state leaking between concurrent
 // sim.Run calls (predictor tables, workload registries, statistics)
 // shows up here as a diff — and as a data race under go test -race.
+// Workers is not part of a cell's fingerprint, so each matrix gets a
+// fresh table; sharing one would compare the serial cells with
+// themselves.
 func TestRunMatrixParallelDeterminism(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 60_000
@@ -106,8 +118,8 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 	parallel := cfg
 	parallel.Workers = -1 // one worker per core
 
-	ms := RunMatrix(serial)
-	mp := RunMatrix(parallel)
+	ms := freshSession(serial).Matrix()
+	mp := freshSession(parallel).Matrix()
 	if len(ms.Results) != len(mp.Results) {
 		t.Fatalf("benchmark count differs: serial %d, parallel %d", len(ms.Results), len(mp.Results))
 	}

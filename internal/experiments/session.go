@@ -12,10 +12,10 @@ import (
 
 // Session drives the experiment suite through the fault-isolating
 // runner path: per-cell panic recovery, wall-clock watchdogs with
-// retry, and optional checkpoint/resume. A Session accumulates failure
-// and cache-hit accounting across every table it builds, so a driver
-// can render the whole suite and then report what (if anything) went
-// wrong, once.
+// retry, one simulation per distinct cell, and optional
+// checkpoint/resume. A Session accumulates failure and cache-hit
+// accounting across every table it builds, so a driver can render the
+// whole suite and then report what (if anything) went wrong, once.
 type Session struct {
 	Ctx  context.Context
 	Cfg  sim.Config
@@ -33,7 +33,8 @@ func NewSession(ctx context.Context, cfg sim.Config, opts runner.Options) *Sessi
 }
 
 // defaultSession is the session behind RunMatrix, Fig4, Fig10 and
-// Fig11: background context, default retry policy, no checkpoint.
+// Fig11: background context, default retry policy, the process-wide
+// result table.
 func defaultSession(cfg sim.Config) *Session {
 	return NewSession(context.Background(), cfg, runner.DefaultOptions())
 }
@@ -73,7 +74,9 @@ func (s *Session) Fig11() *stats.Table { return fig11With(s.Cfg, s.run) }
 // the batches were run.
 func (s *Session) Failures() []*runner.JobError { return s.failures }
 
-// Cached returns how many cells were satisfied from the checkpoint.
+// Cached returns how many cells reused a result instead of simulating:
+// from the journal, from a cell completed earlier in the process, or
+// from a duplicate in the same batch.
 func (s *Session) Cached() int { return s.cached }
 
 // Ran returns how many cells were actually simulated.

@@ -133,10 +133,12 @@ func TestSessionCheckpointResume(t *testing.T) {
 
 // TestSessionCanceledRendersPartial: a canceled session still returns
 // tables, with every cell marked ERR and the cancellation recorded.
+// The session gets an empty table: cells completed by earlier tests
+// would otherwise be reused, and a reused cell needs no context.
 func TestSessionCanceledRendersPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSession(ctx, tinyConfig(), runner.DefaultOptions())
+	s := NewSession(ctx, tinyConfig(), runner.Options{Retries: 1, Checkpoint: runner.NewCheckpoint()})
 	m := s.Matrix()
 	out := Table2(m).String()
 	if !strings.Contains(out, "ERR") {
@@ -147,5 +149,50 @@ func TestSessionCanceledRendersPartial(t *testing.T) {
 	}
 	if report := s.FailureReport(); !strings.Contains(report, "context canceled") {
 		t.Errorf("failure report does not mention cancellation:\n%s", report)
+	}
+}
+
+// TestSessionSimulatesDistinctCellsOnce renders every artifact through
+// one session, as psbtables -all does, and checks that only the
+// distinct cells are simulated. Figure 10's 32K 4-way column and
+// Figure 11's perfect-disambiguation columns are the Figure 5-9
+// matrix's cells again, so of the 120 cells submitted only 90 are
+// distinct. Through Artifact, which rebuilds the matrix for each of
+// table2 and fig5-fig9, the same 90 cells serve every request.
+func TestSessionSimulatesDistinctCellsOnce(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.MaxInsts = 4_000
+
+	s := freshSession(cfg)
+	var submitted []runner.Job
+	record := func(jobs []runner.Job) []runner.CellResult {
+		submitted = append(submitted, jobs...)
+		return s.run(jobs)
+	}
+	runMatrixWith(cfg, record)
+	fig4With(cfg, record)
+	fig10With(cfg, record)
+	fig11With(cfg, record)
+	distinct := map[string]bool{}
+	for _, j := range submitted {
+		distinct[j.Fingerprint()] = true
+	}
+	if len(submitted) != 120 || len(distinct) != 90 {
+		t.Fatalf("psbtables -all submits %d cells, %d distinct; want 120 and 90", len(submitted), len(distinct))
+	}
+	if len(s.Failures()) != 0 || s.Ran() != 90 || s.Cached() != 30 {
+		t.Errorf("session ran %d, reused %d, failed %d; want 90, 30, 0", s.Ran(), s.Cached(), len(s.Failures()))
+	}
+
+	s = freshSession(cfg)
+	submitted = nil
+	for _, name := range ArtifactNames() {
+		if _, err := Artifact(name, cfg, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.Failures()) != 0 || s.Ran() != 90 || s.Cached() != len(submitted)-90 {
+		t.Errorf("every artifact: %d submitted, session ran %d and reused %d; want 90 and %d",
+			len(submitted), s.Ran(), s.Cached(), len(submitted)-90)
 	}
 }

@@ -53,7 +53,9 @@ type CellResult struct {
 	// for cells that never ran because the run was canceled, the
 	// cancellation) otherwise.
 	Err *JobError
-	// Cached reports the result came from the checkpoint, not a run.
+	// Cached reports the result was reused — from the checkpoint table
+	// or from another job of the same list with the same fingerprint —
+	// instead of simulated for this cell.
 	Cached bool
 	// Attempts is the number of simulation attempts consumed.
 	Attempts int
@@ -73,9 +75,10 @@ type Options struct {
 	// failures — invalid configs, simulated deadlocks — are never
 	// retried. Negative means 0.
 	Retries int
-	// Checkpoint, when non-nil, supplies cached results for jobs
-	// already completed and records each newly completed cell as it
-	// finishes.
+	// Checkpoint supplies results for cells already completed and
+	// records each newly completed cell as it finishes. Nil selects the
+	// process-wide file-less table; a fresh NewCheckpoint makes every
+	// cell simulate; OpenCheckpoint adds a journal for resume.
 	Checkpoint *Checkpoint
 	// FaultHook, when non-nil, runs at the start of every simulation
 	// attempt, inside the attempt's panic recovery and wall-clock
@@ -88,7 +91,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the checked path's defaults: no timeout, one
-// retry, no checkpoint.
+// retry, the process-wide table.
 func DefaultOptions() Options { return Options{Retries: 1} }
 
 // Fingerprint returns the job's deterministic identity: a hash of the
@@ -120,8 +123,15 @@ func (j Job) Fingerprint() string {
 // RunChecked executes every job with per-cell fault isolation and
 // returns one CellResult per job, in job order. A job that panics,
 // deadlocks, times out or carries an invalid configuration fails only
-// its own cell; the rest of the matrix completes. Completed cells are
-// looked up in and recorded to opts.Checkpoint when one is set.
+// its own cell; the rest of the matrix completes.
+//
+// Each distinct cell is simulated at most once per table. Jobs are
+// looked up by fingerprint in opts.Checkpoint — or, when that is nil,
+// in the process-wide file-less table — and every newly completed cell
+// is recorded there, so later calls reuse it. Jobs sharing a
+// fingerprint within one list are grouped before dispatch: the first
+// is simulated and its outcome fanned out to the rest. Failed cells
+// are never recorded, so the next call retries them.
 //
 // Execution flows through a transient Dispatcher — the same submit
 // path cmd/psbserved keeps alive across requests — so the batch CLI
@@ -134,17 +144,26 @@ func (j Job) Fingerprint() string {
 // that error. The only non-nil error RunChecked itself returns is
 // ctx's; per-cell failures live in the cells.
 func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]CellResult, error) {
+	if opts.Checkpoint == nil {
+		opts.Checkpoint = process
+	}
 	cells := make([]CellResult, len(jobs))
 	fps := make([]string, len(jobs))
-	pending := make([]int, 0, len(jobs))
+	// first maps each fingerprint to be simulated to the job that
+	// simulates it; dups are later jobs with the same fingerprint.
+	first := make(map[string]int)
+	var pending, dups []int
 	for i, j := range jobs {
 		fps[i] = j.Fingerprint()
-		if opts.Checkpoint != nil {
-			if res, ok := opts.Checkpoint.Lookup(fps[i]); ok {
-				cells[i] = CellResult{Result: res, Cached: true}
-				continue
-			}
+		if res, ok := opts.Checkpoint.Lookup(fps[i]); ok {
+			cells[i] = CellResult{Result: res, Cached: true}
+			continue
 		}
+		if _, ok := first[fps[i]]; ok {
+			dups = append(dups, i)
+			continue
+		}
+		first[fps[i]] = i
 		pending = append(pending, i)
 	}
 
@@ -169,7 +188,8 @@ func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]Cell
 		}
 	}
 
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	if err != nil {
 		for _, i := range pending {
 			if cells[i].Attempts == 0 && cells[i].Err == nil {
 				cells[i].Err = &JobError{
@@ -178,9 +198,15 @@ func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]Cell
 				}
 			}
 		}
-		return cells, err
 	}
-	return cells, nil
+	for _, i := range dups {
+		c := cells[first[fps[i]]]
+		if c.OK() {
+			c = CellResult{Result: c.Result, Cached: true}
+		}
+		cells[i] = c
+	}
+	return cells, err
 }
 
 // Failures extracts the failed cells' errors, in cell order.

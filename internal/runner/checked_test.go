@@ -136,7 +136,8 @@ func TestRunCheckedTimeout(t *testing.T) {
 }
 
 // TestRunCheckedCancelMarksPending: cancelling the context fails the
-// cells that never started with the context's error.
+// cells that never started with the context's error. An empty table
+// keeps cells completed by earlier tests from being reused.
 func TestRunCheckedCancelMarksPending(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -145,7 +146,7 @@ func TestRunCheckedCancelMarksPending(t *testing.T) {
 		{Workload: workload.All()[0], Variant: core.None, Config: cfg},
 		{Workload: workload.All()[1], Variant: core.None, Config: cfg},
 	}
-	cells, err := New(2).RunChecked(ctx, jobs, Options{})
+	cells, err := New(2).RunChecked(ctx, jobs, Options{Checkpoint: NewCheckpoint()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -242,6 +243,9 @@ func TestCheckpointResumeReproduces(t *testing.T) {
 	second, err := New(2).RunChecked(context.Background(), jobs, Options{Checkpoint: cp2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hits := cp2.JournalHits(); hits != len(jobs) {
+		t.Errorf("JournalHits = %d, want %d", hits, len(jobs))
 	}
 	for i := range jobs {
 		if !second[i].Cached {

@@ -21,16 +21,45 @@ type checkpointRecord struct {
 	Result      sim.Result   `json:"result"`
 }
 
-// Checkpoint is an append-only JSONL journal of completed matrix
-// cells, keyed by Job.Fingerprint. Each Record call writes and flushes
-// one line, so a killed run loses at most the cells still in flight;
+// Checkpoint is the table of completed matrix cells, keyed by
+// Job.Fingerprint, with an optional append-only JSONL journal behind
+// it. Pool.RunChecked looks every job up here before dispatch and
+// records each newly completed cell, so a cell is simulated once per
+// table however many job lists carry it.
+//
+// A journaled table (OpenCheckpoint) writes and flushes one line per
+// Record, so a killed run loses at most the cells still in flight;
 // reopening with resume=true restores every completed cell and a
 // subsequent run skips them, reproducing the uninterrupted run's
-// results exactly (results round-trip JSON losslessly).
+// results exactly (results round-trip JSON losslessly). A file-less
+// table (NewCheckpoint) lives only as long as the process.
 type Checkpoint struct {
 	mu    sync.Mutex
-	f     *os.File
-	cache map[string]sim.Result
+	f     *os.File // nil for a file-less table
+	cache map[string]entry
+	// journalHits counts lookups served by records loaded from the
+	// journal on resume, as opposed to cells completed in-process.
+	journalHits int
+}
+
+// entry is one completed cell; journaled marks a record loaded from
+// the journal on resume.
+type entry struct {
+	res       sim.Result
+	journaled bool
+}
+
+// process is the file-less table Pool.RunChecked uses when
+// Options.Checkpoint is nil: one per process, never written to disk.
+// The serving Dispatcher path does not consult it.
+var process = NewCheckpoint()
+
+// NewCheckpoint returns an empty file-less table. A caller that must
+// simulate every cell (a timed benchmark leg, a run compared against
+// another) passes a fresh one in Options.Checkpoint instead of sharing
+// the process table.
+func NewCheckpoint() *Checkpoint {
+	return &Checkpoint{cache: make(map[string]entry)}
 }
 
 // OpenCheckpoint opens the journal at path for appending. With resume
@@ -46,7 +75,8 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{f: f, cache: make(map[string]sim.Result)}
+	c := NewCheckpoint()
+	c.f = f
 	if resume {
 		if err := c.load(); err != nil {
 			f.Close()
@@ -77,7 +107,7 @@ func (c *Checkpoint) load() error {
 			// after it is trustworthy.
 			break
 		}
-		c.cache[rec.Fingerprint] = rec.Result
+		c.cache[rec.Fingerprint] = entry{res: rec.Result, journaled: true}
 		off += int64(len(line))
 	}
 	if err := c.f.Truncate(off); err != nil {
@@ -91,8 +121,19 @@ func (c *Checkpoint) load() error {
 func (c *Checkpoint) Lookup(fp string) (sim.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, ok := c.cache[fp]
-	return res, ok
+	e, ok := c.cache[fp]
+	if e.journaled {
+		c.journalHits++
+	}
+	return e.res, ok
+}
+
+// JournalHits returns how many lookups were served by records loaded
+// from the journal, as opposed to cells completed in this process.
+func (c *Checkpoint) JournalHits() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.journalHits
 }
 
 // Len returns the number of cached cells.
@@ -102,28 +143,33 @@ func (c *Checkpoint) Len() int {
 	return len(c.cache)
 }
 
-// Record appends one completed cell and flushes it to the OS, so the
-// line survives the process dying right after.
+// Record stores one completed cell. A journaled table first appends
+// the cell's line and flushes it to the OS, so the line survives the
+// process dying right after.
 func (c *Checkpoint) Record(fp string, j Job, res sim.Result) error {
-	b, err := json.Marshal(checkpointRecord{
-		Fingerprint: fp, Workload: j.Workload.Name, Variant: j.Variant, Result: res,
-	})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.f.Write(b); err != nil {
-		return err
+	if c.f != nil {
+		b, err := json.Marshal(checkpointRecord{
+			Fingerprint: fp, Workload: j.Workload.Name, Variant: j.Variant, Result: res,
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := c.f.Write(append(b, '\n')); err != nil {
+			return err
+		}
 	}
-	c.cache[fp] = res
+	c.cache[fp] = entry{res: res}
 	return nil
 }
 
-// Close closes the journal file.
+// Close closes the journal file; it is a no-op for a file-less table.
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.f == nil {
+		return nil
+	}
 	return c.f.Close()
 }

@@ -276,7 +276,9 @@ func (d *Dispatcher) Close() {
 // executeCell is the one checked execution path: checkpoint lookup,
 // runCell (panic recovery, retries, per-attempt timeout), checkpoint
 // record. Both the batch RunChecked path and the serving Dispatcher
-// end up here.
+// end up here. Only RunChecked substitutes the process-wide table for
+// a nil Options.Checkpoint; a direct Submit with none (cmd/psbserved,
+// which keeps its own bounded cache) neither looks up nor records.
 func executeCell(ctx context.Context, j Job, fp string, opts Options) CellResult {
 	if opts.Checkpoint != nil {
 		if res, ok := opts.Checkpoint.Lookup(fp); ok {

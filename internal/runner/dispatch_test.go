@@ -221,8 +221,9 @@ func TestDispatcherWeightedFairness(t *testing.T) {
 }
 
 // TestRunCheckedMatchesDispatcher runs the same job list through the
-// batch RunChecked path and through direct dispatcher submits and
-// checks the results agree cell for cell.
+// batch RunChecked path (with an empty table, so it simulates) and
+// through direct dispatcher submits and checks the results agree cell
+// for cell.
 func TestRunCheckedMatchesDispatcher(t *testing.T) {
 	cfg := smallCfg()
 	var jobs []Job
@@ -231,7 +232,7 @@ func TestRunCheckedMatchesDispatcher(t *testing.T) {
 			jobs = append(jobs, Job{Workload: w, Variant: v, Config: cfg})
 		}
 	}
-	batch, err := New(4).RunChecked(context.Background(), jobs, Options{})
+	batch, err := New(4).RunChecked(context.Background(), jobs, Options{Checkpoint: NewCheckpoint()})
 	if err != nil {
 		t.Fatalf("RunChecked: %v", err)
 	}

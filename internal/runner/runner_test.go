@@ -72,6 +72,7 @@ func TestForWorkers(t *testing.T) {
 
 // TestRunResultsKeyedByJob checks that results line up with their jobs
 // when jobs differ (different workloads and variants) and workers race.
+// Each run gets an empty table so both simulate every cell.
 func TestRunResultsKeyedByJob(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 5_000
@@ -81,11 +82,11 @@ func TestRunResultsKeyedByJob(t *testing.T) {
 			jobs = append(jobs, Job{Workload: w, Variant: v, Config: cfg})
 		}
 	}
-	serial, err := New(1).RunChecked(context.Background(), jobs, Options{})
+	serial, err := New(1).RunChecked(context.Background(), jobs, Options{Checkpoint: NewCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := New(8).RunChecked(context.Background(), jobs, Options{})
+	parallel, err := New(8).RunChecked(context.Background(), jobs, Options{Checkpoint: NewCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}

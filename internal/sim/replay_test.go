@@ -1,11 +1,13 @@
 package sim_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -128,7 +130,10 @@ func TestRunCheckedTraced(t *testing.T) {
 // TestRunMatrixTracedEquivalence runs the full experiment matrix twice
 // — live and traced, parallel — and requires identical matrices. This
 // is the whole-pipeline form of the per-cell equivalence test,
-// covering the warm-up coordination in internal/experiments.
+// covering the warm-up coordination in internal/experiments. The trace
+// mode is not part of a cell's fingerprint, so each matrix gets an
+// empty result table; sharing one would compare live cells with
+// themselves.
 func TestRunMatrixTracedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix in -short mode")
@@ -137,10 +142,14 @@ func TestRunMatrixTracedEquivalence(t *testing.T) {
 	cfg.MaxInsts = 10_000
 	cfg.Workers = -1
 
-	live := experiments.RunMatrix(cfg)
+	matrix := func(c sim.Config) *experiments.Matrix {
+		return experiments.NewSession(context.Background(), c,
+			runner.Options{Retries: 1, Checkpoint: runner.NewCheckpoint()}).Matrix()
+	}
+	live := matrix(cfg)
 	traced := cfg
 	traced.TraceMode = sim.TraceMemory
-	replay := experiments.RunMatrix(traced)
+	replay := matrix(traced)
 
 	if !reflect.DeepEqual(live.Results, replay.Results) {
 		t.Fatal("traced matrix differs from live matrix")
