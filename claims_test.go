@@ -122,6 +122,11 @@ func TestGoldenCrossFigureConsistency(t *testing.T) {
 	}
 }
 
+// fig10MaxSpread bounds, in percentage points, how far one program's
+// Figure 10 ConfPri speedup may move across the three L1D geometries.
+// health moves most: +25.3% at 16K 4-way to +32.4% at 32K 2-way.
+const fig10MaxSpread = 7.5
+
 // TestGoldenClaims checks the reproduction summary of EXPERIMENTS.md
 // against the committed numbers.
 func TestGoldenClaims(t *testing.T) {
@@ -132,6 +137,31 @@ func TestGoldenClaims(t *testing.T) {
 	for _, p := range []string{"health", "burg", "deltablue"} {
 		if v := f5.num(t, p, "PC-stride"); v > 0.7 {
 			t.Errorf("%s: PC-stride speedup %+.1f%%, claimed <= +0.7%%", p, v)
+		}
+	}
+
+	// PSB ≫ PC-stride on the pointer programs: ConfAlloc-Priority wins
+	// by at least 10 points (burg is the closest, +12.5% vs +0.0%).
+	for _, p := range []string{"health", "burg", "deltablue"} {
+		if psb, pcs := f5.num(t, p, "ConfAlloc-Priority"), f5.num(t, p, "PC-stride"); psb-pcs < 10 {
+			t.Errorf("%s: ConfAlloc-Priority %+.1f%% beats PC-stride %+.1f%% by %.1f points, claimed >= 10",
+				p, psb, pcs, psb-pcs)
+		}
+	}
+
+	// Figure 10: the ConfPri speedup is largely independent of the L1D
+	// geometry. Each program's speedups across the three geometries lie
+	// within fig10MaxSpread points of each other.
+	f10 := a["Figure 10"]
+	for _, p := range goldenPrograms {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, g := range []string{"16K 4-way", "32K 2-way", "32K 4-way"} {
+			v := f10.num(t, p, g+" ConfPri")
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		if hi-lo > fig10MaxSpread+1e-9 {
+			t.Errorf("%s: Figure 10 ConfPri spread %.1f points (%.1f..%.1f), claimed <= %.1f",
+				p, hi-lo, lo, hi, fig10MaxSpread)
 		}
 	}
 

@@ -88,7 +88,7 @@ type FunctionalState struct {
 
 // NewFunctional builds a cold executor over a committed-instruction
 // recording. memCfg and gcfg must match the detailed configuration the
-// checkpoints will seed, or SetWarmState/SetBranchState will reject
+// checkpoints will seed, or mem.Hierarchy.Restore and SetBranchState will reject
 // the snapshots later.
 func NewFunctional(memCfg mem.Config, gcfg GshareConfig, insts []vm.DynInst) *Functional {
 	return &Functional{
@@ -225,7 +225,7 @@ func (f *Functional) Restore(st *FunctionalState) error {
 	if len(st.Train) > len(f.ring) {
 		return fmt.Errorf("cpu: checkpoint carries %d train events, ring capacity is %d", len(st.Train), len(f.ring))
 	}
-	if err := f.hier.SetWarmState(st.Mem); err != nil {
+	if err := f.hier.Restore(st.Mem); err != nil {
 		return err
 	}
 	if err := f.bp.SetState(st.BP); err != nil {

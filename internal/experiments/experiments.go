@@ -70,7 +70,6 @@ func runMatrixWith(cfg sim.Config, run CellRunner) *Matrix {
 			jobs = append(jobs, runner.Job{Workload: w, Variant: v, Config: cfg})
 		}
 	}
-	warmTraces(jobs, cfg.Workers)
 	cells := run(jobs)
 
 	m := &Matrix{
@@ -153,7 +152,6 @@ func fig4With(cfg sim.Config, run CellRunner) *stats.Table {
 	for i, w := range benches {
 		jobs[i] = runner.Job{Workload: w, Variant: core.None, Config: cfg}
 	}
-	warmTraces(jobs, cfg.Workers)
 	cells := run(jobs)
 	for i, w := range benches {
 		row := []string{w.Name}
@@ -257,7 +255,6 @@ func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 			}
 		}
 	}
-	warmTraces(jobs, cfg.Workers)
 	cells := run(jobs)
 	i := 0
 	for _, w := range benches {
@@ -300,7 +297,6 @@ func fig11With(cfg sim.Config, run CellRunner) *stats.Table {
 			}
 		}
 	}
-	warmTraces(jobs, cfg.Workers)
 	cells := run(jobs)
 	perBench := len(jobs) / len(benches)
 	for i, w := range benches {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -128,6 +129,46 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 	if first != second {
 		t.Error("resumed tables differ byte-for-byte from the original run")
+	}
+}
+
+// TestResumeRecordsNoTraces: a session resumed over a complete journal
+// simulates nothing, so it must record no trace either. The journal is
+// written with tracing off (the fingerprint ignores the trace mode) and
+// a seed no other test uses, so the resumed, traced session is the
+// first in the process that could record these streams.
+func TestResumeRecordsNoTraces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	cfg := tinyConfig()
+	cfg.Seed = 31
+	cfg.TraceMode = sim.TraceOff
+
+	cp, err := runner.OpenCheckpoint(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := NewSession(context.Background(), cfg, runner.Options{Checkpoint: cp})
+	s1.Matrix()
+	cp.Close()
+	if len(s1.Failures()) != 0 || s1.Ran() == 0 {
+		t.Fatalf("journaling session ran %d cell(s): %s", s1.Ran(), s1.FailureReport())
+	}
+
+	cp2, err := runner.OpenCheckpoint(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp2.Close()
+	cfg.TraceMode = sim.TraceMemory
+	before := trace.Shared().Stats()
+	s2 := NewSession(context.Background(), cfg, runner.Options{Checkpoint: cp2})
+	s2.Matrix()
+	after := trace.Shared().Stats()
+	if s2.Ran() != 0 {
+		t.Fatalf("resumed session simulated %d cell(s), want 0", s2.Ran())
+	}
+	if d := after.Misses - before.Misses; d != 0 {
+		t.Errorf("resumed session recorded %d trace(s), want 0: every cell came from the journal", d)
 	}
 }
 

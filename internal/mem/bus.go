@@ -42,6 +42,9 @@ func (b *Bus) Acquire(cycle uint64, n int) (start, done uint64) {
 	return start, done
 }
 
+// reset returns the bus to its just-built state: idle, no busy cycles.
+func (b *Bus) reset() { b.busyUntil, b.busyCycles = 0, 0 }
+
 // BusyCycles returns the cumulative cycles the bus spent transferring.
 func (b *Bus) BusyCycles() uint64 { return b.busyCycles }
 

@@ -41,6 +41,14 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	return &MSHRFile{slots: make([]mshrEntry, capacity)}
 }
 
+// reset empties the file and zeroes its counters, as NewMSHRFile
+// leaves it, without reallocating the slots.
+func (f *MSHRFile) reset() {
+	clear(f.slots)
+	f.live, f.minReady = 0, 0
+	f.Allocs, f.Merges, f.FullHit = 0, 0, 0
+}
+
 // Capacity returns the entry count.
 func (f *MSHRFile) Capacity() int { return len(f.slots) }
 

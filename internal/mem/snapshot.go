@@ -8,7 +8,7 @@ import "fmt"
 // counters are not part of a snapshot, so a restored structure starts
 // with clean stats. Geometry is not captured either; a snapshot may
 // only be applied to a structure built from the same configuration,
-// and SetState validates the shapes to catch mismatches.
+// and Restore validates the shapes to catch mismatches.
 
 // CacheLineState is one tag-array line of a CacheState. As in the
 // live tag array, LastUse == 0 marks an invalid line.
@@ -32,19 +32,24 @@ func (c *Cache) State() CacheState {
 	return st
 }
 
-// SetState overwrites the cache's tag array and LRU clock from a
-// snapshot taken from an identically-configured cache. Statistics are
-// left untouched.
-func (c *Cache) SetState(st CacheState) error {
+// checkState reports whether st was taken from a cache of this
+// geometry.
+func (c *Cache) checkState(st CacheState) error {
 	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("mem: cache %q: snapshot has %d lines, geometry wants %d",
 			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
+	return nil
+}
+
+// restore overwrites the tag array and LRU clock from st, which
+// checkState has accepted, and zeroes the statistics.
+func (c *Cache) restore(st CacheState) {
 	for i, l := range st.Lines {
 		c.lines[i] = cacheLine{tag: l.Tag, lastUse: l.LastUse}
 	}
 	c.clock = st.Clock
-	return nil
+	c.stats = CacheStats{}
 }
 
 // TLBState is the residency state of a TLB.
@@ -67,9 +72,8 @@ func (t *TLB) State() TLBState {
 	}
 }
 
-// SetState overwrites the TLB's residency state from a snapshot taken
-// from an identically-sized TLB. Statistics are left untouched.
-func (t *TLB) SetState(st TLBState) error {
+// checkState reports whether st was taken from a TLB of this size.
+func (t *TLB) checkState(st TLBState) error {
 	if len(st.Pages) != t.entries || len(st.LastUse) != t.entries {
 		return fmt.Errorf("mem: TLB snapshot has %d/%d slots, geometry wants %d",
 			len(st.Pages), len(st.LastUse), t.entries)
@@ -78,12 +82,18 @@ func (t *TLB) SetState(st TLBState) error {
 		return fmt.Errorf("mem: TLB snapshot used=%d mru=%d out of range for %d entries",
 			st.Used, st.MRU, t.entries)
 	}
+	return nil
+}
+
+// restore overwrites the residency state from st, which checkState
+// has accepted, and zeroes the statistics.
+func (t *TLB) restore(st TLBState) {
 	copy(t.pages, st.Pages)
 	copy(t.lastUse, st.LastUse)
 	t.used = st.Used
 	t.mru = st.MRU
 	t.clock = st.Clock
-	return nil
+	t.Accesses, t.Misses = 0, 0
 }
 
 // WarmState is the scheme-independent warm state of a Hierarchy: every
@@ -108,17 +118,35 @@ func (h *Hierarchy) WarmState() WarmState {
 	}
 }
 
-// SetWarmState restores a snapshot taken from an identically-configured
-// hierarchy.
-func (h *Hierarchy) SetWarmState(ws WarmState) error {
-	if err := h.L1D.SetState(ws.L1D); err != nil {
-		return err
+// Restore puts the hierarchy in exactly the state New(cfg) followed by
+// loading ws would give, in place: the tag arrays, LRU clocks and DTLB
+// are copied from ws, while the MSHRs, both buses, the L2 pipeline and
+// every counter go back to zero. It allocates nothing, so a sampled
+// run builds one hierarchy per cell and restores it at every interval.
+// ws must come from an identically-configured hierarchy; every shape
+// is checked before anything is written, so on error the hierarchy is
+// unchanged. Restore copies out of ws and never aliases it.
+func (h *Hierarchy) Restore(ws WarmState) error {
+	for _, err := range [...]error{
+		h.L1D.checkState(ws.L1D),
+		h.L1I.checkState(ws.L1I),
+		h.L2.checkState(ws.L2),
+		h.DTLB.checkState(ws.DTLB),
+	} {
+		if err != nil {
+			return err
+		}
 	}
-	if err := h.L1I.SetState(ws.L1I); err != nil {
-		return err
-	}
-	if err := h.L2.SetState(ws.L2); err != nil {
-		return err
-	}
-	return h.DTLB.SetState(ws.DTLB)
+	h.L1D.restore(ws.L1D)
+	h.L1I.restore(ws.L1I)
+	h.L2.restore(ws.L2)
+	h.DTLB.restore(ws.DTLB)
+	h.L1L2.reset()
+	h.MemBus.reset()
+	h.DMSHR.reset()
+	h.IMSHR.reset()
+	h.l2pipe.nextSlot = 0
+	h.DemandL2Hits, h.DemandL2Misses = 0, 0
+	h.PrefL2Hits, h.PrefL2Misses = 0, 0
+	return nil
 }

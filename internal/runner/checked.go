@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // PanicError wraps a panic recovered from a job (or a Map call) with
@@ -131,7 +132,8 @@ func (j Job) Fingerprint() string {
 // is recorded there, so later calls reuse it. Jobs sharing a
 // fingerprint within one list are grouped before dispatch: the first
 // is simulated and its outcome fanned out to the rest. Failed cells
-// are never recorded, so the next call retries them.
+// are never recorded, so the next call retries them. Only the cells
+// left to simulate have their traces recorded ahead of dispatch.
 //
 // Execution flows through a transient Dispatcher — the same submit
 // path cmd/psbserved keeps alive across requests — so the batch CLI
@@ -168,6 +170,9 @@ func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]Cell
 	}
 
 	if len(pending) > 0 {
+		if ctx.Err() == nil {
+			p.warmTraces(jobs, pending)
+		}
 		workers := p.workers
 		if workers > len(pending) {
 			workers = len(pending)
@@ -207,6 +212,34 @@ func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]Cell
 		cells[i] = c
 	}
 	return cells, err
+}
+
+// warmTraces pre-records the trace of every distinct (workload, seed,
+// budget) stream the jobs at idx draw on, spreading the recordings
+// across the pool. RunChecked calls it for the cells it is about to
+// simulate only, so cells the table serves cost no recording. Jobs
+// with tracing off are skipped. Without warming, the first wave of
+// parallel cells would all block on the handful of per-key recorders;
+// with it, recording itself is parallel across workloads and every
+// cell is a pure replay. Recording failures (disk I/O) are
+// deliberately swallowed here: the affected cells hit the same error
+// themselves and report it with full cell attribution.
+func (p *Pool) warmTraces(jobs []Job, idx []int) {
+	seen := make(map[trace.Key]bool)
+	var todo []Job
+	for _, i := range idx {
+		j := jobs[i]
+		if j.Config.TraceMode == sim.TraceOff {
+			continue
+		}
+		if k := sim.TraceKey(j.Workload, j.Config); !seen[k] {
+			seen[k] = true
+			todo = append(todo, j)
+		}
+	}
+	p.Map(len(todo), func(i int) {
+		_ = sim.WarmTrace(todo[i].Workload, todo[i].Config)
+	})
 }
 
 // Failures extracts the failed cells' errors, in cell order.

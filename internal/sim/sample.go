@@ -86,14 +86,15 @@ func (c Config) SampleCheckpointDir() string {
 	return ""
 }
 
-// buildWarm constructs the machine for one measurement interval: a
-// fresh hierarchy and core seeded from the checkpoint's warm state,
-// and a fresh scheme prefetcher warmed by replaying the checkpoint's
-// recent train events — the same (pc, addr) stream the detailed
-// commit stage would have fed it.
-func buildWarm(v core.Variant, cfg Config, src cpu.Source, st *cpu.FunctionalState) (machine, error) {
-	hier := mem.New(cfg.Mem)
-	if err := hier.SetWarmState(st.Mem); err != nil {
+// buildWarm constructs the machine for one measurement interval: the
+// cell's hierarchy restored in place to the checkpoint's warm state, a
+// fresh core seeded with its branch predictor state, and a fresh scheme
+// prefetcher warmed by replaying the checkpoint's recent train events —
+// the same (pc, addr) stream the detailed commit stage would have fed
+// it. The previous interval's core and prefetcher still point at hier,
+// so they must not be used again.
+func buildWarm(v core.Variant, cfg Config, hier *mem.Hierarchy, src cpu.Source, st *cpu.FunctionalState) (machine, error) {
+	if err := hier.Restore(st.Mem); err != nil {
 		return machine{}, &ConfigError{Field: "SampleMode", Err: err}
 	}
 	opts := cfg.Opts
@@ -169,6 +170,10 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	}
 	sched := sampleSchedule(profile, cfg.MaxInsts, period, length, warmup)
 
+	// One hierarchy serves every interval: Restore resets it to exactly
+	// what a fresh one seeded from the checkpoint would be, without
+	// reallocating the tag arrays (the 1MB L2's alone is 256 KB).
+	hier := mem.New(cfg.Mem)
 	for _, iv := range sched {
 		st, ai, err := store.At(key, iv.ck, dir, boot)
 		if err != nil {
@@ -181,7 +186,7 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 			ckMisses++
 		}
 		ffInsts += ai.FunctionalInsts
-		m, err := buildWarm(v, cfg, rep.From(iv.ck), st)
+		m, err := buildWarm(v, cfg, hier, rep.From(iv.ck), st)
 		if err != nil {
 			runErr = err
 			break

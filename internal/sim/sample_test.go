@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func sampledConfig() Config {
@@ -169,5 +170,29 @@ func TestExactResultJSONHasNoSampledKey(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"Sampled"`) {
 		t.Error("sampled result JSON does not carry the estimate")
+	}
+}
+
+// BenchmarkSampledCell times one sampled cell at the 500K default
+// budget with its trace recording and checkpoints already shared (the
+// first run, outside the timer, builds both), so an iteration is the
+// interval loop alone: restore the warm state, run the detailed
+// windows, aggregate. B/op and allocs/op are the per-cell garbage a
+// sampled artifact run produces for each of its cells.
+func BenchmarkSampledCell(b *testing.B) {
+	w, err := workload.ByName("health")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Default()
+	cfg.TraceMode = TraceMemory
+	cfg.SampleMode = SampleOn
+	Run(w, core.PSBConfPriority, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := Run(w, core.PSBConfPriority, cfg); r.Sampled.FunctionalInsts != 0 {
+			b.Fatal("checkpoints were not shared: the iteration fast-forwarded")
+		}
 	}
 }
